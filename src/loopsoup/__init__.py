@@ -7,153 +7,22 @@ Q(loop)/|loop|, loop-erased walks and Wilson's spanning tree sampler, Poisson
 loop soups with occupation fields, and the squared-field isomorphism linking
 them to Gaussian free fields, including Hermitian weights via two-sheet
 doubling.
+
+Only the objects of the README's library example are re-exported here;
+everything else is reached through its module, e.g. ``loopsoup.soup``.
 """
 
-from .errors import (
-    AcceptabilityWarning,
-    BranchError,
-    Disconnected,
-    InvalidGraph,
-    InvalidMatrix,
-    InvalidPath,
-    InvalidShape,
-    LoopSoupError,
-    NotAcceptable,
-    NotPositive,
-    NotPositiveDefinite,
-    NumericalFailure,
-    NumericallySingular,
-    OutOfDomain,
-    TooLarge,
-    UnknownSite,
-)
-from .gff import (
-    ComplexGFFModel,
-    GFFModel,
-    complex_gff_sample,
-    double_weights,
-    gff_sample,
-    gff_transform_closed,
-    isomorphism_identity_check,
-    isomorphism_mc_check,
-    pushforward_loop_check,
-)
-from .lerw import BoundaryProblem, lerw_weight_formula, loop_erase, path_weight
-from .loops import (
-    RootedLoop,
-    UnrootedLoop,
-    canonicalize,
-    enumerate_rooted_loops,
-    exp_loop_mass_det,
-    exp_meeting_mass_greens,
-    loop_mass_truncated,
-    loop_measure,
-    meeting_mass_truncated,
-    unrooted_loop_measure,
-)
-from .matrices import (
-    AcceptabilityCertificate,
-    GreensFunction,
-    StateSpace,
-    WeightMatrix,
-    acceptability,
-    first_return_weight,
-    greens_diagonal_product,
-    greens_exact,
-    greens_series,
-    perturb,
-    require_acceptable,
-    restrict,
-)
+from .errors import LoopSoupError
+from .matrices import WeightMatrix, greens_exact
 from .rng import substream
-from .soup import (
-    LoopSoup,
-    SoupSampler,
-    complex_poisson_weights,
-    empirical_transform,
-    nu_transform_closed,
-    rho_transform_closed,
-    sample_occupation_fields,
-    sample_soup,
-    trivial_transform_closed,
-)
-from .spanning import (
-    SimpleGraph,
-    enumerate_spanning_trees,
-    spanning_tree_probability,
-    srw_weights,
-    tree_count_det,
-    wilson_sample,
-)
+from .soup import SoupSampler
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AcceptabilityCertificate",
-    "AcceptabilityWarning",
-    "BoundaryProblem",
-    "BranchError",
-    "ComplexGFFModel",
-    "Disconnected",
-    "GFFModel",
-    "GreensFunction",
-    "InvalidGraph",
-    "InvalidMatrix",
-    "InvalidPath",
-    "InvalidShape",
-    "LoopSoup",
     "LoopSoupError",
-    "NotAcceptable",
-    "NotPositive",
-    "NotPositiveDefinite",
-    "NumericalFailure",
-    "NumericallySingular",
-    "OutOfDomain",
-    "RootedLoop",
-    "SimpleGraph",
     "SoupSampler",
-    "StateSpace",
-    "TooLarge",
-    "UnknownSite",
-    "UnrootedLoop",
     "WeightMatrix",
-    "acceptability",
-    "canonicalize",
-    "complex_gff_sample",
-    "complex_poisson_weights",
-    "double_weights",
-    "empirical_transform",
-    "enumerate_rooted_loops",
-    "enumerate_spanning_trees",
-    "exp_loop_mass_det",
-    "exp_meeting_mass_greens",
-    "first_return_weight",
-    "gff_sample",
-    "gff_transform_closed",
-    "greens_diagonal_product",
     "greens_exact",
-    "greens_series",
-    "isomorphism_identity_check",
-    "isomorphism_mc_check",
-    "lerw_weight_formula",
-    "loop_erase",
-    "loop_mass_truncated",
-    "loop_measure",
-    "meeting_mass_truncated",
-    "nu_transform_closed",
-    "path_weight",
-    "perturb",
-    "pushforward_loop_check",
-    "require_acceptable",
-    "restrict",
-    "rho_transform_closed",
-    "sample_occupation_fields",
-    "sample_soup",
-    "spanning_tree_probability",
-    "srw_weights",
     "substream",
-    "tree_count_det",
-    "trivial_transform_closed",
-    "unrooted_loop_measure",
-    "wilson_sample",
 ]

@@ -302,20 +302,12 @@ class ComplexGFFModel:
 
 
 def complex_gff_sample(
-    model: ComplexGFFModel,
-    n_samples: int,
-    rng: np.random.Generator,
-    normalization: str = "psi",
+    model: ComplexGFFModel, n_samples: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Complex field samples; ``normalization`` is "psi" or "h" (psi/sqrt 2)."""
+    """Complex field samples psi, one realization per row."""
     phi = gff_sample(model.doubled, n_samples, rng)
     n = model.n
-    psi = phi[:, :n] + 1j * phi[:, n:]
-    if normalization == "psi":
-        return psi
-    if normalization == "h":
-        return psi / math.sqrt(2.0)
-    raise ValueError(f"unknown normalization {normalization!r}")
+    return phi[:, :n] + 1j * phi[:, n:]
 
 
 def pushforward_loop_check(q: WeightMatrix, max_len: int) -> float:

@@ -22,6 +22,7 @@ from .errors import InvalidPath, NotAcceptable
 from .matrices import (
     AcceptabilityCertificate,
     WeightMatrix,
+    abs_resolvent_tail,
     acceptability,
     restrict,
 )
@@ -170,10 +171,7 @@ def lerw_weights_bruteforce(
     r = np.array(
         [sum(abs(ent[z, b]) for b in bnd_idx) for z in int_idx]
     )
-    resolvent_r = np.linalg.solve(np.eye(len(int_idx)) - m_abs, r)
-    power = np.linalg.matrix_power(m_abs, max_steps)
-    pos_in_interior = {z: k for k, z in enumerate(int_idx)}
-    tail = float((power @ resolvent_r)[pos_in_interior[start_idx]])
+    tail = float(abs_resolvent_tail(m_abs, max_steps, r)[int_idx.index(start_idx)])
 
     acc: dict[tuple[int, ...], complex] = defaultdict(complex)
     kept = [start_idx]

@@ -44,6 +44,7 @@ __all__ = [
     "canonicalize",
     "enumerate_rooted_loops",
     "loop_mass_per_length",
+    "mass_tail",
     "loop_mass_truncated",
     "meeting_mass_truncated",
     "loop_mass_enumerated",
@@ -153,14 +154,13 @@ def enumerate_rooted_loops(
     q: WeightMatrix,
     max_len: int,
     budget: int = DEFAULT_BUDGET,
-    support_threshold: float = 1e-15,
 ) -> Iterator[RootedLoop]:
     """All rooted loops of length <= max_len with nonzero steps.
 
     Emitted length-major and lexicographically within each length.  Raises
     TooLarge once more than ``budget`` loops would be produced.
     """
-    support = q.support(support_threshold)
+    support = q.support()
     n_sites = q.n
     count = 0
     for n in range(1, max_len + 1):
@@ -201,8 +201,12 @@ class TruncatedMass:
     length: int
 
 
-def _mass_tail(n_sites: int, rho: float, max_len: int) -> float:
-    # sum_{n > L} n_sites * rho^n / n <= n_sites * rho^(L+1) / ((L+1)(1-rho))
+def mass_tail(n_sites: int, rho: float, max_len: int) -> float:
+    """Bound on the mass of rooted loops longer than ``max_len``.
+
+    |tr(Q^n)| <= n_sites * rho^n with rho = rho(|Q|), so the discarded
+    sum_{n > L} tr(Q^n) / n is at most n_sites rho^(L+1) / ((L+1)(1-rho)).
+    """
     if rho <= 0.0:
         return 0.0
     return n_sites * rho ** (max_len + 1) / ((max_len + 1) * (1.0 - rho))
@@ -212,7 +216,7 @@ def loop_mass_truncated(q: WeightMatrix, max_len: int) -> TruncatedMass:
     """Mass of all rooted loops up to max_len, with tail bound."""
     rho = require_acceptable(q)
     value = complex(loop_mass_per_length(q, max_len).sum())
-    return TruncatedMass(value, _mass_tail(q.n, rho, max_len), max_len)
+    return TruncatedMass(value, mass_tail(q.n, rho, max_len), max_len)
 
 
 def meeting_mass_truncated(
@@ -234,7 +238,7 @@ def meeting_mass_truncated(
     total = loop_mass_per_length(q, max_len)
     if rest:
         total = total - loop_mass_per_length(restrict(q, rest), max_len)
-    return TruncatedMass(complex(total.sum()), _mass_tail(q.n, rho, max_len), max_len)
+    return TruncatedMass(complex(total.sum()), mass_tail(q.n, rho, max_len), max_len)
 
 
 def loop_mass_enumerated(

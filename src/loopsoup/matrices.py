@@ -5,10 +5,9 @@ Everything downstream (loop measures, soups, field identities) rests on the
 *acceptability* condition: the entrywise absolute matrix |Q| must have
 spectral radius strictly below one, which makes every path and loop series
 converge absolutely.  This module provides the state space and matrix
-containers, the acceptability certificate, the Laplacian I - Q, exact and
-truncated Green's functions, restrictions to subsets, the first-return
-weight at a site, diagonal perturbations, and the Green's-diagonal product
-that evaluates 1/det(I - Q).
+containers, the acceptability certificate, det(I - Q), exact and truncated
+Green's functions, restrictions to subsets, the first-return weight at a
+site, and diagonal perturbations.
 """
 
 from __future__ import annotations
@@ -39,16 +38,14 @@ __all__ = [
     "spectral_radius_abs",
     "acceptability",
     "require_acceptable",
-    "laplacian",
     "det_laplacian",
     "greens_exact",
     "greens_series",
     "restrict",
     "first_return_weight",
     "perturb",
-    "diagonal_matrix",
-    "greens_diagonal_product",
     "lu_det",
+    "abs_resolvent_tail",
 ]
 
 #: Margin below 1 required of the spectral radius of |Q|.
@@ -58,6 +55,9 @@ TOL_ACCEPT = 1e-9
 FLAG_TOL = 1e-12
 
 _PIVOT_TOL = 1e-14
+
+# entries at most this large in modulus count as absent steps
+_SUPPORT_TOL = 1e-15
 
 
 @dataclass(frozen=True)
@@ -144,9 +144,9 @@ class WeightMatrix:
     def certificate(self) -> AcceptabilityCertificate:
         return acceptability(self)
 
-    def support(self, threshold: float = 1e-15) -> np.ndarray:
+    def support(self) -> np.ndarray:
         """Boolean adjacency of strictly nonzero entries."""
-        return np.abs(self.entries) > threshold
+        return np.abs(self.entries) > _SUPPORT_TOL
 
     # --- JSON wire format: {"labels": [...], "entries": [[[re, im], ...], ...]} ---
 
@@ -262,9 +262,16 @@ def require_acceptable(q: WeightMatrix) -> float:
     return cert.spectral_radius_abs
 
 
-def laplacian(q: WeightMatrix) -> WeightMatrix:
-    """I - Q on the same state space."""
-    return WeightMatrix(q.space, np.eye(q.n) - q.entries)
+def _lu_factor(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """LU with partial pivoting; NumericallySingular on a pivot below the
+    tolerance scaled by the largest entry."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+        lu, piv = scipy.linalg.lu_factor(arr, check_finite=False)
+    scale = np.max(np.abs(arr))
+    if np.any(np.abs(np.diag(lu)) < _PIVOT_TOL * max(scale, 1.0)):
+        raise NumericallySingular("LU pivot below tolerance")
+    return lu, piv
 
 
 def lu_det(matrix: np.ndarray) -> complex:
@@ -272,15 +279,9 @@ def lu_det(matrix: np.ndarray) -> complex:
     arr = np.asarray(matrix, dtype=np.complex128)
     if arr.size == 0:
         return 1.0 + 0.0j
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(arr, check_finite=False)
-    diag = np.diag(lu)
-    scale = np.max(np.abs(arr))
-    if np.any(np.abs(diag) < _PIVOT_TOL * max(scale, 1.0)):
-        raise NumericallySingular("LU pivot below tolerance")
+    lu, piv = _lu_factor(arr)
     sign = -1.0 if (piv != np.arange(arr.shape[0])).sum() % 2 else 1.0
-    return complex(sign * np.prod(diag))
+    return complex(sign * np.prod(np.diag(lu)))
 
 
 def det_laplacian(q: WeightMatrix) -> complex:
@@ -291,29 +292,40 @@ def det_laplacian(q: WeightMatrix) -> complex:
 def greens_exact(q: WeightMatrix) -> GreensFunction:
     """G = (I - Q)^{-1} by LU with partial pivoting."""
     require_acceptable(q)
-    delta = np.eye(q.n) - q.entries
-    lu, piv = scipy.linalg.lu_factor(delta, check_finite=False)
-    if np.any(np.abs(np.diag(lu)) < _PIVOT_TOL):
-        raise NumericallySingular("Laplacian is singular within pivot tolerance")
-    g = scipy.linalg.lu_solve((lu, piv), np.eye(q.n), check_finite=False)
+    lu_piv = _lu_factor(np.eye(q.n) - q.entries)
+    g = scipy.linalg.lu_solve(lu_piv, np.eye(q.n), check_finite=False)
     return GreensFunction(q.space, g, source="exact_inverse")
+
+
+def abs_resolvent_tail(m_abs: np.ndarray, power: int, rhs: np.ndarray) -> np.ndarray:
+    """sum_{j >= power} M^j rhs = M^power (I - M)^{-1} rhs.
+
+    For a nonnegative M with spectral radius below one this is the exact
+    remainder of the Neumann series applied to ``rhs``, so it bounds the
+    entrywise modulus of every series truncated before ``power`` whose
+    terms are dominated by M^j rhs.
+    """
+    resolvent_rhs = np.linalg.solve(np.eye(len(m_abs)) - m_abs, rhs)
+    return np.linalg.matrix_power(m_abs, power) @ resolvent_rhs
 
 
 def greens_series(q: WeightMatrix, length: int) -> GreensFunction:
     """Partial Neumann sum sum_{j<=length} Q^j with a certified tail bound.
 
-    The tail bound is the max-norm envelope n * rho^(length+1) / (1 - rho)
-    with rho = spectral radius of |Q|.
+    The tail bound is the largest entry of the exact remainder of the
+    series of |Q|, |Q|^(length+1) (I - |Q|)^{-1}, which dominates the
+    remainder of the series of Q entrywise for any acceptable Q, normal or
+    not.
     """
     if length < 0:
         raise ValueError("length must be >= 0")
-    rho = require_acceptable(q)
+    require_acceptable(q)
     acc = np.eye(q.n, dtype=np.complex128)
     power = np.eye(q.n, dtype=np.complex128)
     for _ in range(length):
         power = power @ q.entries
         acc += power
-    tail = q.n * rho ** (length + 1) / (1.0 - rho) if rho > 0 else 0.0
+    tail = float(np.max(abs_resolvent_tail(np.abs(q.entries), length + 1, np.eye(q.n))))
     return GreensFunction(
         q.space, acc, source="truncated_series", length=length, tail_bound=tail
     )
@@ -339,8 +351,10 @@ def first_return_weight(
     ``via_greens`` evaluates 1 - 1/G(site, site).  ``brute_force`` sums the
     weights of all such loops of length <= ``length`` (grouped through powers
     of the matrix restricted to the complement) and returns the partial sum
-    together with a tail bound derived from rho(|Q|); the two modes agree
-    within that bound.
+    together with the tail bound n * rho^(length+1) / (1 - rho), rho being
+    rho(|Q|); the two modes agree within that bound.  The bound holds for
+    every acceptable Q, normal or not: first-return loops of length k weigh
+    at most (|Q|^k)_ii <= tr(|Q|^k) <= n * rho^k in total.
     """
     rho = require_acceptable(q)
     i = q.space.index(site)
@@ -366,14 +380,6 @@ def first_return_weight(
     return total, tail
 
 
-def diagonal_matrix(space: StateSpace, f: Sequence[complex]) -> WeightMatrix:
-    """Diagonal matrix whose (x,x) entry is f(x)."""
-    vals = np.asarray(f, dtype=np.complex128)
-    if vals.shape != (space.size,):
-        raise InvalidMatrix("f must assign one value per site")
-    return WeightMatrix(space, np.diag(vals))
-
-
 def perturb(q: WeightMatrix, f: Sequence[complex]) -> WeightMatrix:
     """Row rescaling Q(x, .) / (1 + f(x)) by a site function f."""
     vals = np.asarray(f, dtype=np.complex128)
@@ -384,22 +390,3 @@ def perturb(q: WeightMatrix, f: Sequence[complex]) -> WeightMatrix:
         raise ZeroDivisionError("1 + f vanishes at some site")
     return WeightMatrix(q.space, q.entries / denom[:, None])
 
-
-def greens_diagonal_product(q: WeightMatrix, ordering: Sequence[str] | None = None) -> complex:
-    """Product of nested Green's diagonal entries; equals 1/det(I - Q).
-
-    Peeling the sites off one at a time in the given order, multiply the
-    Green's diagonal of the current site on the not-yet-removed set.  The
-    product is independent of the ordering.
-    """
-    require_acceptable(q)
-    order = list(ordering) if ordering is not None else list(q.space.labels)
-    if sorted(order) != sorted(q.space.labels):
-        raise UnknownSite("ordering must be a permutation of the site labels")
-    remaining = order
-    product = 1.0 + 0.0j
-    while remaining:
-        sub = restrict(q, remaining)
-        product *= greens_exact(sub).diagonal(remaining[0])
-        remaining = remaining[1:]
-    return complex(product)

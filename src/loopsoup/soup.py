@@ -31,13 +31,16 @@ from .errors import (
     BranchError,
     InvalidShape,
     NotPositive,
+    NumericalFailure,
     NumericallySingular,
+    TooLarge,
 )
 from .loops import (
     RootedLoop,
     enumerate_rooted_loops,
     local_times,
     loop_measure,
+    mass_tail,
     perturbed_loop_measure,
 )
 from .matrices import (
@@ -54,8 +57,6 @@ __all__ = [
     "complex_poisson_variation",
     "LoopSoup",
     "SoupSampler",
-    "soup_total_mass",
-    "sample_soup",
     "discrete_occupation",
     "continuous_occupation",
     "sample_occupation_fields",
@@ -65,9 +66,16 @@ __all__ = [
     "trivial_transform_closed",
     "rho_transform_closed",
     "variation_bound_alpha",
-    "ReversalCheck",
+    "LoopSumCheck",
     "reversal_symmetrization_check",
+    "occupation_transform_loop_check",
 ]
+
+# past this many terms the complex Poisson weights are refused
+_POISSON_MAX_TERMS = 100_000
+
+# the branch of a transform power is resolved on at most 2**this grid steps
+_MAX_REFINEMENT = 12
 
 
 # --- complex-rate Poisson weights ------------------------------------------
@@ -76,11 +84,21 @@ __all__ = [
 def complex_poisson_weights(lam: complex, kmax: int | None = None) -> np.ndarray:
     """Weights e^{-lam} lam^k / k! for k = 0..kmax.
 
-    They sum to 1 for any complex rate.  When ``kmax`` is omitted it grows
-    until the omitted variation mass is below 1e-12.
+    In exact arithmetic they sum to 1 for any complex rate.  In floating
+    point the sum is 1 only to about eps * e^{|lam| - Re lam}, the rounding
+    of the largest weights: lam = 400j sums to about 7e156.  When ``kmax``
+    is omitted it grows until the omitted variation mass is below 1e-12.
+
+    Raises NumericalFailure when e^{-lam} is zero, subnormal (too few digits
+    left: lam = 744 summed to 1.29) or not finite, or a weight is not
+    finite, and TooLarge when more than 100 000 terms would be needed.
     """
     lam = complex(lam)
     a = abs(lam)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        head = np.exp(-lam)
+    if not np.finfo(np.float64).tiny <= abs(head) < math.inf:
+        raise NumericalFailure(f"e^(-lam) is not representable for lam = {lam}")
     if kmax is None:
         # once k >= 2|lam| each term at most halves, so the remainder past k
         # is below twice the next term
@@ -89,13 +107,19 @@ def complex_poisson_weights(lam: complex, kmax: int | None = None) -> np.ndarray
         while k < 2 * a or 2 * term * a / (k + 1) > 1e-12:
             k += 1
             term *= a / k
-            if k >= 100_000:
-                break
+            if k >= _POISSON_MAX_TERMS:
+                raise TooLarge(
+                    f"complex Poisson weights at lam = {lam} need more than "
+                    f"{_POISSON_MAX_TERMS} terms"
+                )
         kmax = k
     out = np.empty(kmax + 1, dtype=np.complex128)
-    out[0] = np.exp(-lam)
-    for k in range(1, kmax + 1):
-        out[k] = out[k - 1] * lam / k
+    out[0] = head
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        for k in range(1, kmax + 1):
+            out[k] = out[k - 1] * lam / k
+    if not np.all(np.isfinite(out)):
+        raise NumericalFailure(f"complex Poisson weights overflow at lam = {lam}")
     return out
 
 
@@ -116,12 +140,6 @@ class LoopSoup:
     loops: tuple[RootedLoop, ...]
 
 
-def soup_total_mass(q: WeightMatrix) -> complex:
-    """Total rooted loop mass, -log det(I - Q) on the principal branch."""
-    require_acceptable(q)
-    return -np.log(det_laplacian(q))
-
-
 class SoupSampler:
     """Exact sampler bound to one nonnegative acceptable weight matrix.
 
@@ -138,10 +156,9 @@ class SoupSampler:
         if intensity <= 0:
             raise ValueError("intensity must be positive")
         self.rho = require_acceptable(q)
-        self.q = q
         self.intensity = float(intensity)
-        mass = soup_total_mass(q)
-        self.total_mass = float(mass.real)
+        # total rooted loop mass, -log det(I - Q) on the principal branch
+        self.total_mass = float((-np.log(det_laplacian(q))).real)
         self.entries = q.entries.real.copy()
         self.n_sites = q.n
         # powers[k] = Q^k; powers grow as longer loops get drawn
@@ -163,14 +180,7 @@ class SoupSampler:
         self._root_cum.append(np.cumsum(diag) / max(trace, 1e-300))
 
     def _tail_after(self, length: int) -> float:
-        if self.rho <= 0:
-            return 0.0
-        return (
-            self.n_sites
-            * self.rho ** (length + 1)
-            / ((length + 1) * (1.0 - self.rho))
-            / self.total_mass
-        )
+        return mass_tail(self.n_sites, self.rho, length) / self.total_mass
 
     def _draw_length(self, u: float) -> int:
         while u > self._length_cum[-1]:
@@ -202,13 +212,6 @@ class SoupSampler:
         count = int(rng.poisson(self.intensity * self.total_mass))
         loops = tuple(self.sample_loop(rng) for _ in range(count))
         return LoopSoup(intensity=self.intensity, loops=loops)
-
-
-def sample_soup(
-    q: WeightMatrix, intensity: float, rng: np.random.Generator
-) -> LoopSoup:
-    """One soup realization; build a SoupSampler directly to amortize tables."""
-    return SoupSampler(q, intensity).sample(rng)
 
 
 def discrete_occupation(soup: LoopSoup, n_sites: int) -> np.ndarray:
@@ -287,9 +290,7 @@ def _is_integer(t: complex) -> bool:
     return abs(t.imag) <= 1e-12 and abs(t.real - round(t.real)) <= 1e-12
 
 
-def nu_transform_closed(
-    q: WeightMatrix, f: Sequence[complex], t: complex, *, max_refinement: int = 12
-) -> complex:
+def nu_transform_closed(q: WeightMatrix, f: Sequence[complex], t: complex) -> complex:
     """E[exp(-<f, field>)] for the bare occupation field, in closed form.
 
     Equals [det(I - Q) / det(I - Q_f)]^t with Q_f the row rescaling of Q by
@@ -308,7 +309,7 @@ def nu_transform_closed(
         return base / lu_det(np.eye(q.n) - perturb(q, lam * vec).entries)
 
     steps = 8
-    while steps <= 2**max_refinement:
+    while steps <= 2**_MAX_REFINEMENT:
         grid = np.linspace(0.0, 1.0, steps + 1)
         try:
             values = [ratio_at(lam) for lam in grid]
@@ -333,11 +334,9 @@ def trivial_transform_closed(f: Sequence[complex], t: complex) -> complex:
     return complex(np.prod((1.0 + vec) ** (-t)))
 
 
-def rho_transform_closed(
-    q: WeightMatrix, f: Sequence[complex], t: complex, **kwargs
-) -> complex:
+def rho_transform_closed(q: WeightMatrix, f: Sequence[complex], t: complex) -> complex:
     """Transform of the field with trivial loops included."""
-    return nu_transform_closed(q, f, t, **kwargs) * trivial_transform_closed(f, t)
+    return nu_transform_closed(q, f, t) * trivial_transform_closed(f, t)
 
 
 # --- complex-weight soup bounds and the reversal identity --------------------
@@ -362,21 +361,16 @@ def variation_bound_alpha(
         power_abs = power_abs @ abs_part
         power = power @ q.entries
         exponent += (float(np.trace(power_abs)) - float(np.trace(power).real)) / n
-    tail = (
-        2.0 * q.n * rho ** (max_len + 1) / ((max_len + 1) * (1.0 - rho))
-        if rho > 0
-        else 0.0
-    )
+    tail = 2.0 * mass_tail(q.n, rho, max_len)
     return math.exp(intensity * exponent), intensity * tail
 
 
 @dataclass(frozen=True)
-class ReversalCheck:
-    """Both sides of the doubling-by-reversal identity at one test function.
+class LoopSumCheck:
+    """Both sides of an occupation-transform identity at one test function.
 
-    ``closed`` is the doubled-intensity transform in closed form; ``summed``
-    exponentiates a truncated literal loop sum over the symmetrized measure
-    m(loop) + m(reversed loop); ``slack`` bounds |closed - summed| caused by
+    ``closed`` is the transform in closed form; ``summed`` exponentiates a
+    truncated literal loop sum; ``slack`` bounds |closed - summed| caused by
     the truncation.
     """
 
@@ -385,12 +379,42 @@ class ReversalCheck:
     slack: float
 
 
+def _loop_sum_check(
+    q: WeightMatrix,
+    f: Sequence[complex],
+    intensity: float,
+    max_len: int,
+    reversal: bool,
+) -> LoopSumCheck:
+    # closed transform at t (2t with reversal) against exp(t * truncated sum
+    # of m_f - m), the loop taken with its reversal when ``reversal`` is set
+    rho = require_acceptable(q)
+    vec = np.asarray(f, dtype=np.complex128)
+    closed = nu_transform_closed(q, vec, 2 * intensity if reversal else intensity)
+    exponent = 0.0 + 0.0j
+    for loop in enumerate_rooted_loops(q, max_len):
+        term_f = perturbed_loop_measure(q, vec, loop)
+        term = loop_measure(q, loop)
+        if reversal:
+            rev = loop.reversed()
+            term_f = term_f + perturbed_loop_measure(q, vec, rev)
+            term = term + loop_measure(q, rev)
+        exponent += term_f - term
+    summed = complex(np.exp(intensity * exponent))
+    # the loops past max_len of m and of m_f weigh at most mass_tail each;
+    # the reversed copies double that, and the plain check keeps the factor
+    rho_f = require_acceptable(perturb(q, vec))
+    tail = 2.0 * mass_tail(q.n, rho, max_len) + 2.0 * mass_tail(q.n, rho_f, max_len)
+    slack = abs(summed) * math.expm1(abs(intensity) * tail)
+    return LoopSumCheck(closed=closed, summed=summed, slack=slack)
+
+
 def reversal_symmetrization_check(
     q: WeightMatrix,
     f: Sequence[complex],
     intensity: float,
     max_len: int,
-) -> ReversalCheck:
+) -> LoopSumCheck:
     """Check that doubling the intensity equals adding reversed loops.
 
     The soup of intensity 2t for m has the same occupation law as the soup
@@ -398,22 +422,20 @@ def reversal_symmetrization_check(
     reversal preserves lengths and visit counts while det(I - Q) is blind
     to transposition.  Compared at the Laplace transform of one f.
     """
-    rho = require_acceptable(q)
-    vec = np.asarray(f, dtype=np.complex128)
-    closed = nu_transform_closed(q, vec, 2 * intensity)
-    exponent = 0.0 + 0.0j
-    for loop in enumerate_rooted_loops(q, max_len):
-        rev = loop.reversed()
-        sym_f = perturbed_loop_measure(q, vec, loop) + perturbed_loop_measure(
-            q, vec, rev
-        )
-        sym = loop_measure(q, loop) + loop_measure(q, rev)
-        exponent += sym_f - sym
-    summed = complex(np.exp(intensity * exponent))
-    rho_f = require_acceptable(perturb(q, vec))
-    tail = 0.0
-    for r in (rho, rho_f):
-        if r > 0:
-            tail += 2.0 * q.n * r ** (max_len + 1) / ((max_len + 1) * (1.0 - r))
-    slack = abs(summed) * math.expm1(abs(intensity) * tail)
-    return ReversalCheck(closed=closed, summed=summed, slack=slack)
+    return _loop_sum_check(q, f, intensity, max_len, reversal=True)
+
+
+def occupation_transform_loop_check(
+    q: WeightMatrix,
+    f: Sequence[complex],
+    intensity: float,
+    max_len: int,
+) -> LoopSumCheck:
+    """Check the closed occupation transform against the loop measure.
+
+    The soup of intensity t has E[exp(-<f, field>)] equal to the exponential
+    of t times the sum over rooted loops of m_f(loop) - m(loop), m_f being
+    the measure with each visit to x discounted by 1/(1 + f(x)).  That sum
+    is taken literally over loops up to ``max_len``.
+    """
+    return _loop_sum_check(q, f, intensity, max_len, reversal=False)

@@ -36,6 +36,9 @@ __all__ = [
 #: A spanning tree as a frozenset of (low, high) vertex-index pairs.
 Tree = frozenset
 
+# literal tree enumeration refuses graphs with more vertices than this
+_MAX_ENUM_VERTICES = 8
+
 
 @dataclass(frozen=True)
 class SimpleGraph:
@@ -161,11 +164,11 @@ def _spans(n: int, edges: Sequence[tuple[int, int]]) -> bool:
     return True
 
 
-def enumerate_spanning_trees(graph: SimpleGraph, max_vertices: int = 8) -> list[Tree]:
+def enumerate_spanning_trees(graph: SimpleGraph) -> list[Tree]:
     """All spanning trees by brute force over (n-1)-edge subsets."""
-    if graph.n > max_vertices:
+    if graph.n > _MAX_ENUM_VERTICES:
         raise TooLarge(
-            f"literal tree enumeration is capped at {max_vertices} vertices"
+            f"literal tree enumeration is capped at {_MAX_ENUM_VERTICES} vertices"
         )
     if graph.n == 1:
         return [frozenset()]

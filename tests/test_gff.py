@@ -191,20 +191,6 @@ class TestComplexField:
         pseudo = psi.T @ psi / n
         assert np.max(np.abs(pseudo)) < scale
 
-    def test_h_normalization_halves_covariance(self):
-        q = random_hermitian(2, 0.5, seed=416)
-        model = gff.ComplexGFFModel.from_weights(q)
-        n = 50_000
-        h = gff.complex_gff_sample(model, n, substream(417), normalization="h")
-        cov = h.T @ h.conj() / n
-        scale = 4 * 2 * np.max(np.abs(model.greens)) / math.sqrt(n)
-        assert np.max(np.abs(cov - model.greens)) < scale
-
-    def test_unknown_normalization(self):
-        model = gff.ComplexGFFModel.from_weights(hermitian_pair())
-        with pytest.raises(ValueError):
-            gff.complex_gff_sample(model, 10, substream(1), normalization="phi")
-
 
 class TestPushforward:
     @pytest.mark.parametrize("seed", [418, 419])

@@ -8,7 +8,13 @@ import scipy.stats
 
 from loopsoup import loops as lp
 from loopsoup import soup as sp
-from loopsoup.errors import BranchError, InvalidShape, NotPositive
+from loopsoup.errors import (
+    BranchError,
+    InvalidShape,
+    NotPositive,
+    NumericalFailure,
+    TooLarge,
+)
 from loopsoup.fixtures import (
     hermitian_pair,
     one_point,
@@ -65,6 +71,27 @@ class TestComplexPoisson:
         w = sp.complex_poisson_weights(0.0, kmax=3)
         np.testing.assert_array_equal(w, [1, 0, 0, 0])
 
+    @pytest.mark.parametrize("lam", [800.0, 744.0])
+    def test_underflowing_head_is_refused(self, lam):
+        # e^-800 underflows to zero, which made every weight zero; e^-744 is
+        # subnormal and its few digits made the weights sum to 1.29
+        with pytest.raises(NumericalFailure):
+            sp.complex_poisson_weights(lam)
+
+    @pytest.mark.parametrize("kmax", [None, 10])
+    def test_overflowing_head_is_refused(self, kmax):
+        with pytest.raises(NumericalFailure):
+            sp.complex_poisson_weights(-800.0, kmax=kmax)
+
+    def test_overflowing_weight_is_refused(self):
+        # |e^-lam| = 1 but 800^k / k! overflows on the way to k = 2000
+        with pytest.raises(NumericalFailure):
+            sp.complex_poisson_weights(800j, kmax=2000)
+
+    def test_term_cap_is_refused(self):
+        with pytest.raises(TooLarge):
+            sp.complex_poisson_weights(800j)
+
 
 def asym_two_site() -> WeightMatrix:
     return WeightMatrix.from_entries(("a", "b"), [[0.15, 0.4], [0.3, 0.1]])
@@ -83,8 +110,8 @@ class TestSoupSampler:
 
     def test_deterministic_given_stream(self):
         q = asym_two_site()
-        s1 = sp.sample_soup(q, 1.0, substream(77, 3))
-        s2 = sp.sample_soup(q, 1.0, substream(77, 3))
+        s1 = sp.SoupSampler(q, 1.0).sample(substream(77, 3))
+        s2 = sp.SoupSampler(q, 1.0).sample(substream(77, 3))
         assert s1 == s2
 
     def test_loop_statistics_match_measure(self):

@@ -31,7 +31,7 @@ from .errors import (
     NotPositiveDefinite,
     OutOfDomain,
 )
-from .loops import enumerate_rooted_loops, loop_weight
+from .loops import block_weights, loop_blocks
 from .matrices import (
     StateSpace,
     WeightMatrix,
@@ -320,21 +320,17 @@ def pushforward_loop_check(q: WeightMatrix, max_len: int) -> float:
     if not q.hermitian:
         raise InvalidMatrix("pushforward check needs Hermitian weights")
     doubled = double_weights(q).entries.real
-    n_base = q.n
     worst = 0.0
-    for loop in enumerate_rooted_loops(q, max_len):
-        sites = np.asarray(loop.sites)
-        n = len(sites)
+    for block in loop_blocks(q, max_len):
+        n = block.shape[1]
         lifts = (np.arange(2**n)[:, None] >> np.arange(n)) & 1
-        idx = sites[None, :] + lifts * n_base
-        w = np.ones(2**n)
-        for j in range(n):
-            w *= doubled[idx[:, j], idx[:, (j + 1) % n]]
-        lift_sum = w.sum() / n
-        base = loop_weight(q, loop)
-        rev = loop_weight(q, loop.reversed())
-        expect = (base + rev) / n
-        worst = max(worst, abs(lift_sum - expect))
+        expect = (block_weights(q, block) + block_weights(q, block, reverse=True)) / n
+        for sites, want in zip(block, expect):
+            idx = sites[None, :] + lifts * q.n
+            w = np.ones(2**n)
+            for j in range(n):
+                w *= doubled[idx[:, j], idx[:, (j + 1) % n]]
+            worst = max(worst, abs(w.sum() / n - want))
     return worst
 
 

@@ -42,6 +42,8 @@ __all__ = [
     "local_times",
     "minimal_period",
     "canonicalize",
+    "loop_blocks",
+    "block_weights",
     "enumerate_rooted_loops",
     "loop_mass_per_length",
     "mass_tail",
@@ -54,6 +56,9 @@ __all__ = [
 ]
 
 DEFAULT_BUDGET = 10**7
+
+# rows per loop block: fixed so blockwise sums repeat, small to spare memory
+_BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -74,10 +79,6 @@ class RootedLoop:
         n = len(self.sites)
         k %= n
         return RootedLoop(self.sites[k:] + self.sites[:k])
-
-    def reversed(self) -> "RootedLoop":
-        """Traverse the cycle backwards keeping the same root."""
-        return RootedLoop(self.sites[:1] + self.sites[1:][::-1])
 
 
 @dataclass(frozen=True)
@@ -114,12 +115,7 @@ def canonicalize(loop: RootedLoop) -> UnrootedLoop:
 
 def loop_weight(q: WeightMatrix, loop: RootedLoop) -> complex:
     """Product of edge weights around the cycle, closing step included."""
-    ent = q.entries
-    s = loop.sites
-    w = 1.0 + 0.0j
-    for i in range(len(s)):
-        w *= ent[s[i], s[(i + 1) % len(s)]]
-    return complex(w)
+    return complex(block_weights(q, np.array([loop.sites]))[0])
 
 
 def loop_measure(q: WeightMatrix, loop: RootedLoop) -> complex:
@@ -139,10 +135,8 @@ def perturbed_loop_measure(
     Equals the plain loop measure of the row-rescaled matrix Q / (1 + f).
     """
     vals = np.asarray(f, dtype=np.complex128)
-    factor = 1.0 + 0.0j
-    for x in loop.sites:
-        factor /= 1.0 + vals[x]
-    return loop_measure(q, loop) * factor
+    discount = np.prod(1.0 / (1.0 + vals[list(loop.sites)]))
+    return loop_measure(q, loop) * complex(discount)
 
 
 def local_times(loop: RootedLoop, n_sites: int) -> np.ndarray:
@@ -150,36 +144,79 @@ def local_times(loop: RootedLoop, n_sites: int) -> np.ndarray:
     return np.bincount(np.asarray(loop.sites), minlength=n_sites)
 
 
-def enumerate_rooted_loops(
-    q: WeightMatrix,
-    max_len: int,
-    budget: int = DEFAULT_BUDGET,
-) -> Iterator[RootedLoop]:
-    """All rooted loops of length <= max_len with nonzero steps.
+def loop_blocks(
+    q: WeightMatrix, max_len: int, budget: int = DEFAULT_BUDGET
+) -> Iterator[np.ndarray]:
+    """All rooted loops of length <= max_len with nonzero steps, in blocks.
 
-    Emitted length-major and lexicographically within each length.  Raises
-    TooLarge once more than ``budget`` loops would be produced.
+    Yields (k, n) int arrays, one loop's sites per row and at most 1024 rows
+    each, length-major and lexicographically within each length.  Raises
+    TooLarge before building any block when more than ``budget`` loops
+    would be produced.
     """
-    support = q.support()
     n_sites = q.n
-    count = 0
+    support = q.support().astype(np.int64)
+    # counts[m][y, x] is the number of m-step paths from y to x, saturated at
+    # budget + 1; the clamp keeps every running sum below within int64
+    budget = min(budget, 2**62 // n_sites**3)
+    counts = [np.eye(n_sites, dtype=np.int64)]
+    total = 0
+    for _ in range(max_len):
+        counts.append(np.minimum(support @ counts[-1], budget + 1))
+        total += int(np.trace(counts[-1]))
+        if total > budget:
+            raise TooLarge(f"loop enumeration exceeded budget of {budget}")
+    # tables[m] has one entry per (last, root, next) with a step last -> next,
+    # ordered by key = last * n_sites + root and then by next. It holds the
+    # running sum of the completions with m steps left after next, that sum
+    # just before each entry, and the sum before each key's first entry.
+    _, root, nxt = np.nonzero(np.broadcast_to(support[:, None, :] > 0, (n_sites,) * 3))
+    tables = [None]
+    for m in range(1, max_len):
+        ways = counts[m][nxt, root]
+        ends = np.cumsum(ways)
+        per_key = (support @ counts[m]).ravel()
+        tables.append((ends, ends - ways, np.cumsum(per_key) - per_key))
     for n in range(1, max_len + 1):
-        stack: list[tuple[int, ...]] = [(x,) for x in reversed(range(n_sites))]
-        while stack:
-            prefix = stack.pop()
-            if len(prefix) == n:
-                if support[prefix[-1], prefix[0]]:
-                    count += 1
-                    if count > budget:
-                        raise TooLarge(
-                            f"loop enumeration exceeded budget of {budget}"
-                        )
-                    yield RootedLoop(prefix)
-                continue
-            last = prefix[-1]
-            for y in reversed(range(n_sites)):
-                if support[last, y]:
-                    stack.append(prefix + (y,))
+        per_root = np.diag(counts[n])
+        root_ends = np.cumsum(per_root)
+        for start in range(0, root_ends[-1], _BLOCK_ROWS):
+            # unrank loops start, start + 1, ... site by site: the rank left
+            # after the completions of every smaller choice picks the next
+            rank = np.arange(start, min(start + _BLOCK_ROWS, root_ends[-1]))
+            sites = np.empty((n, len(rank)), dtype=np.intp)
+            sites[0] = np.searchsorted(root_ends, rank, side="right")
+            rank -= root_ends[sites[0]] - per_root[sites[0]]
+            for d in range(1, n):
+                ends, before, key_base = tables[n - d]
+                target = key_base[sites[d - 1] * n_sites + sites[0]] + rank
+                pick = np.searchsorted(ends, target, side="right")
+                sites[d] = nxt[pick]
+                rank = target - before[pick]
+            yield sites.T.copy()
+
+
+def block_weights(
+    q: WeightMatrix, block: np.ndarray, reverse: bool = False
+) -> np.ndarray:
+    """Q(loop) for each row of a loop block, closing step included.
+
+    With ``reverse`` each loop is walked backwards from its root, and the
+    edge weights are multiplied in the order that walk takes them.
+    """
+    nxt = np.roll(block, -1, axis=1)
+    if reverse:
+        return q.entries[nxt, block][:, ::-1].prod(axis=1)
+    return q.entries[block, nxt].prod(axis=1)
+
+
+def enumerate_rooted_loops(
+    q: WeightMatrix, max_len: int, budget: int = DEFAULT_BUDGET
+) -> Iterator[RootedLoop]:
+    """The loops of ``loop_blocks`` one at a time, in the same order."""
+    for block in loop_blocks(q, max_len, budget=budget):
+        for sites in block.tolist():
+            yield RootedLoop(tuple(sites))
 
 
 def loop_mass_per_length(q: WeightMatrix, max_len: int) -> np.ndarray:
@@ -242,23 +279,21 @@ def meeting_mass_truncated(
 
 
 def loop_mass_enumerated(
-    q: WeightMatrix,
-    max_len: int,
-    meeting: Sequence[str] | None = None,
-    budget: int = DEFAULT_BUDGET,
+    q: WeightMatrix, max_len: int, meeting: Sequence[str] | None = None
 ) -> complex:
     """Literal sum of m(loop) over enumerated loops; oracle for the traces.
 
     With ``meeting`` given, only loops visiting at least one listed site
     contribute.
     """
-    targets = frozenset(q.space.indices(meeting)) if meeting is not None else None
+    targets = q.space.indices(meeting) if meeting is not None else None
     total = 0.0 + 0.0j
-    for loop in enumerate_rooted_loops(q, max_len, budget=budget):
-        if targets is not None and targets.isdisjoint(loop.sites):
-            continue
-        total += loop_measure(q, loop)
-    return total
+    for block in loop_blocks(q, max_len):
+        weights = block_weights(q, block)
+        if targets is not None:
+            weights = weights[np.isin(block, targets).any(axis=1)]
+        total += weights.sum() / block.shape[1]
+    return complex(total)
 
 
 def exp_truncated(mass: TruncatedMass) -> tuple[complex, float]:

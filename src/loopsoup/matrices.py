@@ -109,6 +109,9 @@ class WeightMatrix:
     positive: bool = field(init=False)
     symmetric: bool = field(init=False)
     hermitian: bool = field(init=False)
+    _certificate: AcceptabilityCertificate | None = field(
+        init=False, default=None, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         arr = np.array(self.entries, dtype=np.complex128)
@@ -243,12 +246,16 @@ def spectral_radius_abs(q: WeightMatrix | np.ndarray) -> float:
 
 
 def acceptability(q: WeightMatrix) -> AcceptabilityCertificate:
-    rho = spectral_radius_abs(q)
-    return AcceptabilityCertificate(
-        spectral_radius_abs=rho,
-        acceptable=rho < 1.0 - TOL_ACCEPT,
-        margin=1.0 - rho,
-    )
+    """The certificate of ``q``, kept on the object: its entries are read-only."""
+    if q._certificate is None:
+        rho = spectral_radius_abs(q)
+        cert = AcceptabilityCertificate(
+            spectral_radius_abs=rho,
+            acceptable=rho < 1.0 - TOL_ACCEPT,
+            margin=1.0 - rho,
+        )
+        object.__setattr__(q, "_certificate", cert)
+    return q._certificate
 
 
 def require_acceptable(q: WeightMatrix) -> float:

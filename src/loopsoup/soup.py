@@ -35,14 +35,7 @@ from .errors import (
     NumericallySingular,
     TooLarge,
 )
-from .loops import (
-    RootedLoop,
-    enumerate_rooted_loops,
-    local_times,
-    loop_measure,
-    mass_tail,
-    perturbed_loop_measure,
-)
+from .loops import RootedLoop, block_weights, local_times, loop_blocks, mass_tail
 from .matrices import (
     WeightMatrix,
     det_laplacian,
@@ -392,14 +385,12 @@ def _loop_sum_check(
     vec = np.asarray(f, dtype=np.complex128)
     closed = nu_transform_closed(q, vec, 2 * intensity if reversal else intensity)
     exponent = 0.0 + 0.0j
-    for loop in enumerate_rooted_loops(q, max_len):
-        term_f = perturbed_loop_measure(q, vec, loop)
-        term = loop_measure(q, loop)
+    for block in loop_blocks(q, max_len):
+        weights = block_weights(q, block)
         if reversal:
-            rev = loop.reversed()
-            term_f = term_f + perturbed_loop_measure(q, vec, rev)
-            term = term + loop_measure(q, rev)
-        exponent += term_f - term
+            weights = weights + block_weights(q, block, reverse=True)
+        discount = np.prod(1.0 / (1.0 + vec[block]), axis=1)
+        exponent += np.sum(weights * discount - weights) / block.shape[1]
     summed = complex(np.exp(intensity * exponent))
     # the loops past max_len of m and of m_f weigh at most mass_tail each;
     # the reversed copies double that, and the plain check keeps the factor

@@ -1,6 +1,7 @@
 """Loop enumeration, rotation classes, and the three mass computations."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -85,6 +86,79 @@ class TestEnumeration:
         )
         with pytest.raises(TooLarge):
             list(lp.enumerate_rooted_loops(q, max_len=6, budget=100))
+
+
+def _reference_loops(q, max_len):
+    """Depth-first enumeration, one prefix at a time: the order loop_blocks keeps."""
+    support = q.support()
+    for n in range(1, max_len + 1):
+        stack = [(x,) for x in reversed(range(q.n))]
+        while stack:
+            prefix = stack.pop()
+            if len(prefix) == n:
+                if support[prefix[-1], prefix[0]]:
+                    yield prefix
+                continue
+            for y in reversed(range(q.n)):
+                if support[prefix[-1], y]:
+                    stack.append(prefix + (y,))
+
+
+@st.composite
+def _supported_matrices(draw):
+    """Complex matrices on 1-4 sites with an arbitrary support pattern."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    mask = np.array(draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n)))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    values = rng.uniform(-1.0, 1.0, (n, n)) + 1j * rng.uniform(-1.0, 1.0, (n, n))
+    return mx.WeightMatrix.from_entries(
+        [f"s{i}" for i in range(n)], values * mask.reshape(n, n)
+    )
+
+
+class TestLoopBlocks:
+    @pytest.mark.parametrize(
+        "entries, max_len",
+        [
+            (np.full((3, 3), 0.2), 7),
+            ([[0, 0.3, 0, 0], [0, 0, 0.3, 0.1], [0.3, 0, 0, 0], [0, 0, 0.2, 0]], 9),
+            ([[0.3, 0.2], [0.1, 0.0]], 8),
+            ([[0.2, 0.3, 0.0], [0.0, 0.0, 0.0], [0.2, 0.1, 0.3]], 7),
+            ([[0.4]], 6),
+        ],
+        ids=["dense", "sparse", "self-loop", "zero-row", "one-site"],
+    )
+    def test_rows_match_reference_order(self, entries, max_len):
+        labels = [f"s{i}" for i in range(len(entries))]
+        q = mx.WeightMatrix.from_entries(labels, entries)
+        blocks = list(lp.loop_blocks(q, max_len))
+        assert all(1 <= len(block) <= 1024 for block in blocks)
+        rows = [tuple(row) for block in blocks for row in block.tolist()]
+        assert rows == list(_reference_loops(q, max_len))
+
+    def test_budget_refused_before_any_block(self):
+        q = mx.WeightMatrix.from_entries(("a", "b", "c"), np.full((3, 3), 0.1))
+        tracemalloc.start()
+        try:
+            with pytest.raises(TooLarge):
+                next(lp.loop_blocks(q, max_len=60, budget=100))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a single block of length-60 loops takes 1024 * 60 * 8 bytes
+        assert peak < 64 * 1024
+
+    @given(_supported_matrices(), st.integers(min_value=1, max_value=7))
+    @settings(max_examples=60, deadline=None)
+    def test_per_length_sums_match_traces(self, q, max_len):
+        summed = np.zeros(max_len, dtype=np.complex128)
+        scale = np.zeros(max_len)
+        for block in lp.loop_blocks(q, max_len):
+            measure = lp.block_weights(q, block) / block.shape[1]
+            summed[block.shape[1] - 1] += measure.sum()
+            scale[block.shape[1] - 1] += np.abs(measure).sum()
+        traced = lp.loop_mass_per_length(q, max_len)
+        assert np.all(np.abs(summed - traced) <= 1e-12 * scale)
 
 
 class TestLoopWeight:

@@ -121,6 +121,22 @@ class TestAcceptability:
         cert = one_point(1.0 - 1e-12).certificate()
         assert not cert.acceptable
 
+    def test_gated_once_per_matrix_object(self, monkeypatch):
+        gated = []
+        radius = mx.spectral_radius_abs
+        monkeypatch.setattr(
+            mx, "spectral_radius_abs", lambda q: gated.append(q) or radius(q)
+        )
+        q = two_state()
+        first = mx.acceptability(q)
+        assert mx.require_acceptable(q) == first.spectral_radius_abs
+        assert q.certificate() is first
+        assert gated == [q]
+        # another object with the same entries is gated afresh
+        twin = mx.WeightMatrix(q.space, q.entries)
+        assert mx.acceptability(twin) == first
+        assert len(gated) == 2
+
 
 class TestGreens:
     def test_one_point_value(self):

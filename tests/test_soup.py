@@ -205,8 +205,10 @@ class TestClosedTransforms:
         t = 0.8
         max_len = 40
         exponent = 0.0 + 0.0j
-        for loop in lp.enumerate_rooted_loops(q, max_len=12):
-            exponent += lp.perturbed_loop_measure(q, f, loop) - lp.loop_measure(q, loop)
+        for block in lp.loop_blocks(q, max_len=12):
+            # m_f is the loop measure of the row-rescaled matrix Q / (1 + f)
+            diff = lp.block_weights(perturb(q, f), block) - lp.block_weights(q, block)
+            exponent += diff.sum() / block.shape[1]
         rho = require_acceptable(q)
         rho_f = require_acceptable(perturb(q, f))
         env = sum(
@@ -285,10 +287,10 @@ class TestVariationAlpha:
     def test_matches_literal_enumeration(self):
         q = random_acceptable(3, 0.5, seed=311, complex_entries=True)
         max_len = 8
-        exponent = sum(
-            abs(lp.loop_measure(q, loop)) - lp.loop_measure(q, loop).real
-            for loop in lp.enumerate_rooted_loops(q, max_len)
-        )
+        exponent = 0.0
+        for block in lp.loop_blocks(q, max_len):
+            measure = lp.block_weights(q, block) / block.shape[1]
+            exponent += np.sum(np.abs(measure) - measure.real)
         alpha, _ = sp.variation_bound_alpha(q, 1.5, max_len)
         assert alpha == pytest.approx(math.exp(1.5 * exponent), rel=1e-10)
 

@@ -144,56 +144,56 @@ def local_times(loop: RootedLoop, n_sites: int) -> np.ndarray:
     return np.bincount(np.asarray(loop.sites), minlength=n_sites)
 
 
-def loop_blocks(
-    q: WeightMatrix, max_len: int, budget: int = DEFAULT_BUDGET
-) -> Iterator[np.ndarray]:
+def loop_blocks(q: WeightMatrix, max_len: int) -> Iterator[np.ndarray]:
     """All rooted loops of length <= max_len with nonzero steps, in blocks.
 
     Yields (k, n) int arrays, one loop's sites per row and at most 1024 rows
     each, length-major and lexicographically within each length.  Raises
-    TooLarge before building any block when more than ``budget`` loops
-    would be produced.
+    TooLarge before building any block when more than DEFAULT_BUDGET loops
+    would be produced.  Past the support, it holds one root's tables.
     """
-    n_sites = q.n
     support = q.support().astype(np.int64)
-    # counts[m][y, x] is the number of m-step paths from y to x, saturated at
-    # budget + 1; the clamp keeps every running sum below within int64
-    budget = min(budget, 2**62 // n_sites**3)
-    counts = [np.eye(n_sites, dtype=np.int64)]
-    total = 0
+    # path counts saturate at budget + 1; the clamp keeps every running sum
+    # below within int64
+    budget = min(DEFAULT_BUDGET, 2**62 // q.n**3)
+    paths, per_root, total = np.eye(q.n, dtype=np.int64), [], 0
     for _ in range(max_len):
-        counts.append(np.minimum(support @ counts[-1], budget + 1))
-        total += int(np.trace(counts[-1]))
+        paths = np.minimum(support @ paths, budget + 1)
+        per_root.append(paths.diagonal().copy())  # loops of this length per root
+        total += int(per_root[-1].sum())
         if total > budget:
             raise TooLarge(f"loop enumeration exceeded budget of {budget}")
-    # tables[m] has one entry per (last, root, next) with a step last -> next,
-    # ordered by key = last * n_sites + root and then by next. It holds the
-    # running sum of the completions with m steps left after next, that sum
-    # just before each entry, and the sum before each key's first entry.
-    _, root, nxt = np.nonzero(np.broadcast_to(support[:, None, :] > 0, (n_sites,) * 3))
-    tables = [None]
-    for m in range(1, max_len):
-        ways = counts[m][nxt, root]
-        ends = np.cumsum(ways)
-        per_key = (support @ counts[m]).ravel()
-        tables.append((ends, ends - ways, np.cumsum(per_key) - per_key))
+    last, nxt = np.nonzero(support)
+    # the steps leaving site x are bounds[x]:bounds[x + 1] of (last, nxt)
+    bounds = np.searchsorted(last, np.arange(q.n + 1))
     for n in range(1, max_len + 1):
-        per_root = np.diag(counts[n])
-        root_ends = np.cumsum(per_root)
-        for start in range(0, root_ends[-1], _BLOCK_ROWS):
-            # unrank loops start, start + 1, ... site by site: the rank left
-            # after the completions of every smaller choice picks the next
-            rank = np.arange(start, min(start + _BLOCK_ROWS, root_ends[-1]))
-            sites = np.empty((n, len(rank)), dtype=np.intp)
-            sites[0] = np.searchsorted(root_ends, rank, side="right")
-            rank -= root_ends[sites[0]] - per_root[sites[0]]
-            for d in range(1, n):
-                ends, before, key_base = tables[n - d]
-                target = key_base[sites[d - 1] * n_sites + sites[0]] + rank
-                pick = np.searchsorted(ends, target, side="right")
-                sites[d] = nxt[pick]
-                rank = target - before[pick]
-            yield sites.T.copy()
+        root_ends, pieces = np.cumsum(per_root[n - 1]), []
+        for root in np.flatnonzero(per_root[n - 1]):
+            # tables[m] runs over the steps last -> next in that order and sums
+            # the m-step completions from next back to root: after and before
+            # each step, and before each site's first step
+            back, tables = support[:, root], [None]
+            for _ in range(1, n):
+                run = np.concatenate(([0], np.cumsum(back[nxt])))
+                tables.append((run[1:], run[:-1], run[bounds[:-1]]))
+                back = np.minimum(np.diff(run[bounds]), budget + 1)
+            start = first = root_ends[root] - per_root[n - 1][root]
+            while start < root_ends[root]:
+                # unrank up to the next block boundary, site by site: the rank
+                # left after the completions of every smaller choice picks it
+                stop = min(start - start % _BLOCK_ROWS + _BLOCK_ROWS, root_ends[root])
+                rank = np.arange(start - first, stop - first)
+                sites = np.full((n, len(rank)), root, dtype=np.intp)
+                for d in range(1, n):
+                    ends, before, site_base = tables[n - d]
+                    target = site_base[sites[d - 1]] + rank
+                    pick = np.searchsorted(ends, target, side="right")
+                    sites[d], rank = nxt[pick], target - before[pick]
+                pieces.append(sites)
+                if stop % _BLOCK_ROWS == 0 or stop == root_ends[-1]:
+                    yield np.concatenate(pieces, axis=1).T.copy()
+                    pieces = []
+                start = stop
 
 
 def block_weights(
@@ -210,11 +210,9 @@ def block_weights(
     return q.entries[block, nxt].prod(axis=1)
 
 
-def enumerate_rooted_loops(
-    q: WeightMatrix, max_len: int, budget: int = DEFAULT_BUDGET
-) -> Iterator[RootedLoop]:
+def enumerate_rooted_loops(q: WeightMatrix, max_len: int) -> Iterator[RootedLoop]:
     """The loops of ``loop_blocks`` one at a time, in the same order."""
-    for block in loop_blocks(q, max_len, budget=budget):
+    for block in loop_blocks(q, max_len):
         for sites in block.tolist():
             yield RootedLoop(tuple(sites))
 

@@ -84,8 +84,9 @@ class TestEnumeration:
         q = mx.WeightMatrix.from_entries(
             ("a", "b", "c"), np.full((3, 3), 0.1)
         )
+        # 3^n loops of each length n pass the 10^7 budget at n = 15
         with pytest.raises(TooLarge):
-            list(lp.enumerate_rooted_loops(q, max_len=6, budget=100))
+            list(lp.enumerate_rooted_loops(q, max_len=60))
 
 
 def _reference_loops(q, max_len):
@@ -141,12 +142,39 @@ class TestLoopBlocks:
         tracemalloc.start()
         try:
             with pytest.raises(TooLarge):
-                next(lp.loop_blocks(q, max_len=60, budget=100))
+                next(lp.loop_blocks(q, max_len=60))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         # a single block of length-60 loops takes 1024 * 60 * 8 bytes
         assert peak < 64 * 1024
+
+    @pytest.mark.parametrize(
+        "support, max_len, n_loops, peak_mb",
+        [
+            # 300 self-loops and 300^2 two-step loops
+            (np.ones((300, 300)), 2, 300 + 300**2, 16),
+            # a 200-site cycle, both directions: binom(n, n/2) per even n
+            (np.eye(200, k=1) + np.eye(200, k=-1) + np.eye(200, k=199)
+             + np.eye(200, k=-199), 8, 200 * (2 + 6 + 20 + 70), 4),
+        ],
+        ids=["dense-300", "cycle-200"],
+    )
+    def test_memory_scales_with_one_root(self, support, max_len, n_loops, peak_mb):
+        labels = [f"s{i}" for i in range(len(support))]
+        q = mx.WeightMatrix.from_entries(labels, 1e-3 * support)
+        tracemalloc.start()
+        try:
+            rows = 0
+            for block in lp.loop_blocks(q, max_len):
+                assert support[block, np.roll(block, -1, axis=1)].all()
+                rows += len(block)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rows == n_loops
+        # tables for all roots at once would take about 1.3 GB on dense-300
+        assert peak < peak_mb * 2**20
 
     @given(_supported_matrices(), st.integers(min_value=1, max_value=7))
     @settings(max_examples=60, deadline=None)

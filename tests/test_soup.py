@@ -206,9 +206,10 @@ class TestClosedTransforms:
         max_len = 40
         exponent = 0.0 + 0.0j
         for block in lp.loop_blocks(q, max_len=12):
-            # m_f is the loop measure of the row-rescaled matrix Q / (1 + f)
-            diff = lp.block_weights(perturb(q, f), block) - lp.block_weights(q, block)
-            exponent += diff.sum() / block.shape[1]
+            # m_f discounts m by prod 1 / (1 + f) over the visited sites
+            w = lp.block_weights(q, block)
+            discount = np.prod(1.0 / (1.0 + f[block]), axis=1)
+            exponent += np.sum(w * discount - w) / block.shape[1]
         rho = require_acceptable(q)
         rho_f = require_acceptable(perturb(q, f))
         env = sum(
@@ -276,6 +277,16 @@ class TestEmpiricalTransform:
         small = sp.empirical_transform(fields[:100], [0.5])
         big = sp.empirical_transform(fields, [0.5])
         assert big.stderr < small.stderr
+
+
+    def test_loop_check_holds(self):
+        q = random_acceptable(3, 0.5, seed=301, complex_entries=True)
+        f = np.array([0.2, 0.1 + 0.05j, 0.3])
+        chk = sp.occupation_transform_loop_check(q, f, intensity=0.8, max_len=12)
+        assert chk.closed == sp.nu_transform_closed(q, f, 0.8)
+        assert abs(chk.closed - chk.summed) <= chk.slack + 1e-12
+        # the slack is no wider than the truncation it covers
+        assert chk.slack < 1e-3
 
 
 class TestVariationAlpha:

@@ -46,6 +46,12 @@ def hermitian_pair() -> WeightMatrix:
     return WeightMatrix.from_entries(("x", "y"), [[0.0, 0.5j], [-0.5j, 0.0]])
 
 
+def _rescaled(mat: np.ndarray, rho: float) -> WeightMatrix:
+    """``mat`` times rho / rho(|mat|), on sites labeled s0, s1, ..."""
+    labels = tuple(f"s{i}" for i in range(len(mat)))
+    return WeightMatrix.from_entries(labels, mat * (rho / spectral_radius_abs(mat)))
+
+
 def random_acceptable(
     n: int, rho: float, seed: int, complex_entries: bool = False
 ) -> WeightMatrix:
@@ -54,9 +60,7 @@ def random_acceptable(
     mat = rng.uniform(-1.0, 1.0, size=(n, n)).astype(np.complex128)
     if complex_entries:
         mat += 1j * rng.uniform(-1.0, 1.0, size=(n, n))
-    current = spectral_radius_abs(mat)
-    labels = tuple(f"s{i}" for i in range(n))
-    return WeightMatrix.from_entries(labels, mat * (rho / current))
+    return _rescaled(mat, rho)
 
 
 def random_symmetric_positive(n: int, rho: float, seed: int) -> WeightMatrix:
@@ -64,9 +68,7 @@ def random_symmetric_positive(n: int, rho: float, seed: int) -> WeightMatrix:
     rng = substream(seed)
     mat = rng.uniform(0.0, 1.0, size=(n, n))
     mat = (mat + mat.T) / 2.0
-    current = spectral_radius_abs(mat)
-    labels = tuple(f"s{i}" for i in range(n))
-    return WeightMatrix.from_entries(labels, mat * (rho / current))
+    return _rescaled(mat, rho)
 
 
 def random_hermitian(n: int, rho: float, seed: int) -> WeightMatrix:
@@ -74,9 +76,7 @@ def random_hermitian(n: int, rho: float, seed: int) -> WeightMatrix:
     rng = substream(seed)
     mat = rng.uniform(-1.0, 1.0, size=(n, n)) + 1j * rng.uniform(-1.0, 1.0, (n, n))
     mat = (mat + mat.conj().T) / 2.0
-    current = spectral_radius_abs(mat)
-    labels = tuple(f"s{i}" for i in range(n))
-    return WeightMatrix.from_entries(labels, mat * (rho / current))
+    return _rescaled(mat, rho)
 
 
 def mc_fixtures() -> dict[str, WeightMatrix]:

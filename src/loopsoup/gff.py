@@ -36,7 +36,9 @@ from .matrices import (
     StateSpace,
     WeightMatrix,
     acceptability,
+    det_laplacian,
     greens_exact,
+    lu_det,
     require_acceptable,
 )
 from .soup import (
@@ -98,7 +100,8 @@ def gff_sample(
 
 
 def gff_transform_closed(q: WeightMatrix, f) -> float:
-    """E[exp(-1/2 sum f(x) field(x)^2)] = [det(I - Q + D_f) det G]^{-1/2}.
+    """E[exp(-1/2 sum f(x) field(x)^2)] = [det(I - Q + D_f) det G]^{-1/2},
+    computed as sqrt(det(I - Q) / det(I - Q + D_f)).
 
     Defined while I - Q + D_f stays positive definite; OutOfDomain otherwise
     (the Gaussian integral diverges there).
@@ -110,13 +113,9 @@ def gff_transform_closed(q: WeightMatrix, f) -> float:
     if vec.shape != (q.n,):
         raise InvalidMatrix("f must assign one real value per site")
     a = np.eye(q.n) - q.entries.real + np.diag(vec)
-    eigs = np.linalg.eigvalsh(a)
-    if eigs.min() <= 1e-14:
+    if np.linalg.eigvalsh(a).min() <= 1e-14:
         raise OutOfDomain("I - Q + D_f lost positive definiteness")
-    sign_a, logdet_a = np.linalg.slogdet(a)
-    g = greens_exact(q).entries.real
-    sign_g, logdet_g = np.linalg.slogdet(g)
-    return float(np.exp(-0.5 * (logdet_a + logdet_g)))
+    return math.sqrt(det_laplacian(q).real / lu_det(a).real)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,6 @@ import numpy as np
 
 from .errors import InvalidPath, NotAcceptable
 from .matrices import (
-    AcceptabilityCertificate,
     WeightMatrix,
     abs_resolvent_tail,
     acceptability,
@@ -84,7 +83,6 @@ class BoundaryProblem:
     interior: tuple[str, ...]
     boundary: tuple[str, ...]
     interior_weights: WeightMatrix = field(init=False)
-    interior_certificate: AcceptabilityCertificate = field(init=False)
 
     def __post_init__(self) -> None:
         labels = self.weights.space.labels
@@ -101,7 +99,6 @@ class BoundaryProblem:
                 f"interior block has rho(|Q|) = {cert.spectral_radius_abs:.6g}"
             )
         object.__setattr__(self, "interior_weights", sub)
-        object.__setattr__(self, "interior_certificate", cert)
 
     def split_path(self, eta: Sequence[str]) -> tuple[list[str], str]:
         """Validate a self-avoiding interior-to-boundary path; split it."""

@@ -144,9 +144,6 @@ class WeightMatrix:
     def n(self) -> int:
         return self.space.size
 
-    def certificate(self) -> AcceptabilityCertificate:
-        return acceptability(self)
-
     def support(self) -> np.ndarray:
         """Boolean adjacency of strictly nonzero entries."""
         return np.abs(self.entries) > _SUPPORT_TOL
@@ -207,42 +204,14 @@ class GreensFunction:
 
 
 def spectral_radius_abs(q: WeightMatrix | np.ndarray) -> float:
-    """Spectral radius of the entrywise absolute value of the matrix.
-
-    Power iteration on |Q| with relative tolerance 1e-12 (iteration cap
-    10_000); falls back to a full eigenvalue computation when the iteration
-    does not settle, e.g. on reducible or periodic supports.
-    """
+    """Spectral radius of |Q|, the entrywise absolute value of the matrix,
+    from one dense eigenvalue computation; 0.0 for a zero or empty matrix."""
     arr = q.entries if isinstance(q, WeightMatrix) else np.asarray(q, dtype=np.complex128)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise InvalidMatrix(f"expected a square matrix, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise InvalidMatrix("matrix entries must be finite")
-    m = np.abs(arr)
-    n = m.shape[0]
-    if n == 1:
-        return float(m[0, 0])
-    if not m.any():
-        return 0.0
-    vec = np.full(n, 1.0 / n)
-    estimate = np.inf
-    stable = 0
-    for _ in range(10_000):
-        nxt = m @ vec
-        total = nxt.sum()
-        if total == 0.0:  # vec fell into the kernel; restart off-kernel
-            break
-        new_estimate = total / vec.sum()
-        nxt /= total
-        if abs(new_estimate - estimate) <= 1e-12 * max(1.0, abs(new_estimate)):
-            stable += 1
-            if stable >= 2:
-                return float(new_estimate)
-        else:
-            stable = 0
-        estimate = new_estimate
-        vec = nxt
-    return float(np.max(np.abs(np.linalg.eigvals(m))))
+    return float(np.max(np.abs(np.linalg.eigvals(np.abs(arr))), initial=0.0))
 
 
 def acceptability(q: WeightMatrix) -> AcceptabilityCertificate:

@@ -39,6 +39,9 @@ Tree = frozenset
 # literal tree enumeration refuses graphs with more vertices than this
 _MAX_ENUM_VERTICES = 8
 
+# a Wilson sample walking more steps than this in total is refused
+_MAX_WILSON_STEPS = 10**8
+
 
 @dataclass(frozen=True)
 class SimpleGraph:
@@ -255,13 +258,12 @@ def wilson_sample(
     graph: SimpleGraph,
     rng: np.random.Generator,
     root: int = 0,
-    max_total_steps: int = 10**8,
 ) -> Tree:
     """One uniform spanning tree via loop-erased random walks.
 
     Vertices are attached in index order; each runs a simple random walk
     until it hits the grown tree, and the erased walk becomes its branch.
-    ``max_total_steps`` is a backstop against runaway walks; the BFS
+    A cap of 10^8 total steps is a backstop against runaway walks; the BFS
     connectivity check makes hitting it effectively impossible.
 
     Each walk step consumes exactly one uniform, ``rng.random()``, and the
@@ -286,7 +288,7 @@ def wilson_sample(
         node = v
         while not in_tree[node]:
             steps += 1
-            if steps > max_total_steps:
+            if steps > _MAX_WILSON_STEPS:
                 raise NumericalFailure("Wilson walk exceeded the step backstop")
             node = adj[node][int(rng.random() * degrees[node])]
             walk.append(node)

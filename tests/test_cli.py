@@ -1,9 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
+import scipy.stats
 
+import loopsoup
 from loopsoup import fixtures as fx
-from loopsoup.cli import CheckReport, RunConfig, main
+from loopsoup.cli import CheckReport, RunConfig, _chisquare_uniform_pvalue, main
 from loopsoup.rng import SEED_ENV_VAR
 
 
@@ -173,6 +180,25 @@ class TestMcCommand:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert main(["mc", "--config", str(bad)]) == 2
+
+
+class TestChiSquare:
+    @pytest.mark.parametrize(
+        "counts",
+        [[3, 3, 3], [1, 0, 4, 2], [1490, 1510, 1555, 1445], [9, 30, 12, 17, 21, 11]],
+    )
+    def test_pvalue_matches_scipy_stats(self, counts):
+        counts = np.asarray(counts, dtype=float)
+        expected = float(scipy.stats.chisquare(counts).pvalue)
+        assert _chisquare_uniform_pvalue(counts) == expected
+
+    def test_cli_import_leaves_scipy_stats_out(self):
+        src = Path(loopsoup.__file__).resolve().parents[1]
+        code = "import loopsoup.cli, sys; sys.exit('scipy.stats' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)}
+        )
+        assert proc.returncode == 0
 
 
 class TestSampleCommand:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from loopsoup import lerw
 from loopsoup.errors import InvalidPath, NotAcceptable
 from loopsoup.fixtures import boundary_problems, one_point
-from loopsoup.matrices import WeightMatrix, greens_exact
+from loopsoup.matrices import WeightMatrix, acceptability, greens_exact
 
 
 class TestLoopErase:
@@ -65,7 +65,7 @@ class TestBoundaryProblem:
         problem = boundary_problems()["srw_path5"]
         with pytest.raises(NotAcceptable):
             greens_exact(problem.weights)
-        assert problem.interior_certificate.acceptable
+        assert acceptability(problem.interior_weights).acceptable
 
     def test_unacceptable_interior_rejected(self):
         q = WeightMatrix.from_entries(("a", "b"), [[1.0, 0.0], [0.0, 0.0]])

@@ -89,11 +89,32 @@ class TestSpectralRadius:
         q = mx.WeightMatrix.from_entries(("a", "b"), np.zeros((2, 2)))
         assert mx.spectral_radius_abs(q) == 0.0
 
-    def test_periodic_support_falls_back_to_eigvals(self):
+    def test_empty_array(self):
+        assert mx.spectral_radius_abs(np.zeros((0, 0))) == 0.0
+
+    def test_periodic_three_cycle(self):
         # 3-cycle with weight c: |Q| has eigenvalues c, c*omega, c*omega^2
         c = 0.4
         q = np.array([[0, c, 0], [0, 0, c], [c, 0, 0]])
         assert mx.spectral_radius_abs(q) == pytest.approx(c, rel=1e-9)
+
+    def test_tied_diagonal_non_normal_triangular(self):
+        # |Q| is upper triangular, so its eigenvalues are the diagonal
+        # moduli; the top one is tied and the off-diagonal part outweighs it
+        moduli = np.array([0.6, 0.6, 0.45, 0.3, 0.15])
+        phases = np.exp(2j * np.pi * np.array([0.1, 0.7, 0.3, 0.9, 0.5]))
+        rng = np.random.default_rng(5)
+        q = np.triu(2.0 * rng.uniform(-1, 1, (5, 5)), k=1) + np.diag(moduli * phases)
+        assert mx.spectral_radius_abs(q) == pytest.approx(0.6, rel=1e-12)
+
+    def test_weighted_directed_five_cycle(self):
+        # (|Q|^5) = prod(w) I, so every eigenvalue has modulus prod(w)^(1/5)
+        weights = np.array([0.9, 0.5, 0.7, 0.8, 0.6])
+        phases = np.exp(2j * np.pi * np.array([0.2, 0.4, 0.1, 0.8, 0.6]))
+        q = np.zeros((5, 5), dtype=np.complex128)
+        q[np.arange(5), (np.arange(5) + 1) % 5] = weights * phases
+        expected = float(np.prod(weights)) ** (1 / 5)
+        assert mx.spectral_radius_abs(q) == pytest.approx(expected, rel=1e-12)
 
     @given(
         st.integers(min_value=1, max_value=5),
@@ -106,19 +127,37 @@ class TestSpectralRadius:
         expected = np.max(np.abs(np.linalg.eigvals(np.abs(m))))
         assert mx.spectral_radius_abs(m) == pytest.approx(expected, rel=1e-9, abs=1e-12)
 
+    @given(
+        st.integers(min_value=1, max_value=6),
+        st.sampled_from([0.0, 0.5, 0.8]),
+        st.integers(min_value=0, max_value=2**31),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_collatz_wielandt_bracket(self, n, zero_fraction, seed):
+        # for nonnegative M and positive v, rho(M) lies between the least
+        # and the greatest (Mv)_i / v_i; zeros make reducible supports
+        rng = np.random.default_rng(seed)
+        q = rng.uniform(-1, 1, size=(n, n)) + 1j * rng.uniform(-1, 1, size=(n, n))
+        q[rng.uniform(size=(n, n)) < zero_fraction] = 0.0
+        m = np.abs(q)
+        rho = mx.spectral_radius_abs(q)
+        for v in (np.ones(n), m @ np.ones(n) + 1.0):
+            ratios = (m @ v) / v
+            assert ratios.min() * (1 - 1e-12) <= rho <= ratios.max() * (1 + 1e-12)
+
 
 class TestAcceptability:
     def test_margin(self):
-        cert = one_point(0.3).certificate()
+        cert = mx.acceptability(one_point(0.3))
         assert cert.acceptable
         assert cert.margin == pytest.approx(0.7)
 
     def test_boundary_rejected(self):
-        cert = one_point(1.0).certificate()
+        cert = mx.acceptability(one_point(1.0))
         assert not cert.acceptable
 
     def test_just_under_threshold_rejected(self):
-        cert = one_point(1.0 - 1e-12).certificate()
+        cert = mx.acceptability(one_point(1.0 - 1e-12))
         assert not cert.acceptable
 
     def test_gated_once_per_matrix_object(self, monkeypatch):
@@ -130,7 +169,7 @@ class TestAcceptability:
         q = two_state()
         first = mx.acceptability(q)
         assert mx.require_acceptable(q) == first.spectral_radius_abs
-        assert q.certificate() is first
+        assert mx.acceptability(q) is first
         assert gated == [q]
         # another object with the same entries is gated afresh
         twin = mx.WeightMatrix(q.space, q.entries)
@@ -267,5 +306,5 @@ class TestPerturb:
     def test_nonnegative_f_preserves_acceptability(self):
         q = random_acceptable(3, 0.9, seed=13)
         p = mx.perturb(q, [0.5, 0.1, 2.0])
-        assert p.certificate().acceptable
+        assert mx.acceptability(p).acceptable
 

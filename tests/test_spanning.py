@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from loopsoup import spanning as sp
-from loopsoup.errors import Disconnected, InvalidGraph, TooLarge
+from loopsoup.errors import Disconnected, InvalidGraph, NumericalFailure, TooLarge
 from loopsoup.fixtures import (
     complete_graph,
     cycle_graph,
@@ -161,6 +161,17 @@ class TestWilson:
         rng = substream(61)
         sp.wilson_sample(star, rng)
         assert rng.random() == substream(61).random(leaves + 1)[leaves]
+
+    def test_step_backstop(self, monkeypatch):
+        # rooted at the hub, a 5-leaf star takes exactly 5 walk steps
+        star = graph(
+            {"vertices": [f"v{i}" for i in range(6)], "edges": [[0, j] for j in range(1, 6)]}
+        )
+        monkeypatch.setattr(sp, "_MAX_WILSON_STEPS", 5)
+        assert len(sp.wilson_sample(star, substream(62))) == 5
+        monkeypatch.setattr(sp, "_MAX_WILSON_STEPS", 4)
+        with pytest.raises(NumericalFailure):
+            sp.wilson_sample(star, substream(62))
 
     def test_deterministic_given_stream(self):
         g = graph(complete_graph(4))

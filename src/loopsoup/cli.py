@@ -34,7 +34,7 @@ from .matrices import (
     lu_det,
     require_acceptable,
 )
-from .rng import SEED_ENV_VAR, substream
+from .rng import SEED_ENV_VAR, Substreams, substream
 
 __all__ = ["RunConfig", "CheckReport", "main"]
 
@@ -460,9 +460,10 @@ def _wilson_uniformity(
     trees = spanning.enumerate_spanning_trees(g)
     index = {t: i for i, t in enumerate(trees)}
     counts = np.zeros(len(trees))
+    sampler = spanning.WilsonSampler(g)
     rng = substream(config.seed, block * _STREAM_BLOCK)
     for _ in range(config.samples):
-        counts[index[spanning.wilson_sample(g, rng)]] += 1
+        counts[index[sampler.sample(rng)]] += 1
     p = _chisquare_uniform_pvalue(counts)
     return _report(
         f"wilson-uniform-{label}",
@@ -489,11 +490,9 @@ def _mc_checks(config: RunConfig) -> list[CheckReport]:
     q = fx.two_state()
     sampler = soup.SoupSampler(q, 1.0)
     lam = sampler.intensity * sampler.total_mass
+    streams = Substreams(config.seed)
     counts = np.array(
-        [
-            len(sampler.sample(substream(config.seed, 3 * _STREAM_BLOCK + i)).loops)
-            for i in range(n)
-        ],
+        [len(sampler.sample(streams(3 * _STREAM_BLOCK + i)).loops) for i in range(n)],
         dtype=float,
     )
     mean_sig = abs(counts.mean() - lam) / math.sqrt(lam / n)
@@ -629,22 +628,23 @@ def _sample_records(args, seed: int):
         return {"kind": kind, "index": i, "seed": seed, "stream": i, **body}
 
     n = args.n
+    streams = Substreams(seed)
     if args.what == "tree":
-        g = _load_graph(args.graph)
+        wilson = spanning.WilsonSampler(_load_graph(args.graph), root=args.root)
         for i in range(n):
-            t = spanning.wilson_sample(g, substream(seed, i), root=args.root)
+            t = wilson.sample(streams(i))
             yield record("tree", i, edges=[list(e) for e in sorted(t)])
         return
     q = _load_matrix(args.matrix)
     if args.what == "gff":
         model = gff.GFFModel.from_weights(q)
         for i in range(n):
-            phi = gff.gff_sample(model, 1, substream(seed, i))[0]
+            phi = gff.gff_sample(model, 1, streams(i))[0]
             yield record("gff", i, values=[float(v) for v in phi])
         return
     sampler = soup.SoupSampler(q, args.intensity)
     for i in range(n):
-        rng = substream(seed, i)
+        rng = streams(i)
         realization = sampler.sample(rng)
         if args.what == "soup":
             yield record(

@@ -43,7 +43,7 @@ from .matrices import (
     perturb,
     require_acceptable,
 )
-from .rng import substream
+from .rng import Substreams
 
 __all__ = [
     "complex_poisson_weights",
@@ -223,13 +223,18 @@ def continuous_occupation(
     Each loop visit carries an Exp(1) weight; ``trivial_shape`` adds the
     per-site loops of zero length (0 for the bare field, t for the field
     with trivial loops included).
+
+    Draws one scalar ``rng.gamma`` per site, in site order, zero shapes
+    included: the same values as one ``rng.gamma(shapes)`` array call, bit
+    for bit, without that call's fixed cost on a short array.
     """
     if trivial_shape < 0:
         raise InvalidShape("trivial part needs a nonnegative shape")
-    shapes = np.asarray(counts, dtype=np.float64) + trivial_shape
-    if np.any(shapes < 0):
+    shapes = (np.asarray(counts, dtype=np.float64) + trivial_shape).tolist()
+    if any(s < 0 for s in shapes):
         raise InvalidShape("negative visit count")
-    return rng.gamma(shapes)
+    gamma = rng.gamma
+    return np.array([gamma(s) for s in shapes], dtype=np.float64)
 
 
 def sample_occupation_fields(
@@ -248,9 +253,10 @@ def sample_occupation_fields(
     """
     sampler = SoupSampler(q, intensity)
     shape_add = intensity if trivial else 0.0
+    streams = Substreams(seed)
     out = np.empty((n_samples, q.n))
     for i in range(n_samples):
-        rng = substream(seed, start_index + i)
+        rng = streams(start_index + i)
         soup = sampler.sample(rng)
         counts = discrete_occupation(soup, q.n)
         out[i] = continuous_occupation(counts, shape_add, rng)

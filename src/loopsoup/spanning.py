@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import Disconnected, InvalidGraph, NumericalFailure, TooLarge
 from .lerw import BoundaryProblem, lerw_weight_formula, loop_erase
-from .matrices import WeightMatrix
+from .matrices import WeightMatrix, lu_det
 
 __all__ = [
     "SimpleGraph",
@@ -30,6 +30,7 @@ __all__ = [
     "enumerate_spanning_trees",
     "srw_weights",
     "spanning_tree_probability",
+    "WilsonSampler",
     "wilson_sample",
 ]
 
@@ -138,9 +139,10 @@ def tree_count_det(graph: SimpleGraph) -> int:
     """
     if graph.n == 1:
         return 1
-    lap = graph.degree_laplacian()
-    minor = lap[1:, 1:]
-    value = float(np.linalg.det(minor))
+    if not graph.is_connected():
+        return 0  # the minor is singular, and lu_det refuses a zero pivot
+    minor = graph.degree_laplacian()[1:, 1:]
+    value = float(lu_det(minor).real)
     nearest = round(value)
     if abs(value - nearest) > 1e-6 * max(1.0, abs(value)):
         raise NumericalFailure(
@@ -254,46 +256,62 @@ def _tree_path_to(tree_adj: list[list[int]], start: int, targets: set[int]) -> l
     raise InvalidGraph("tree does not connect to the root component")
 
 
+class WilsonSampler:
+    """Wilson's algorithm prepared for one graph and root.
+
+    The connectivity and root checks, the neighbor lists and the degrees
+    are computed once here, so ``sample`` does only the walks.  Vertices are
+    attached in index order; each runs a simple random walk until it hits
+    the grown tree, and the erased walk becomes its branch.  A cap of 10^8
+    total steps per tree is a backstop against runaway walks; the BFS
+    connectivity check makes hitting it effectively impossible.
+
+    Each walk step consumes exactly one uniform, ``rng.random()``, and
+    ``sample`` draws nothing else from ``rng``.  A tree drawn from a fresh
+    substream therefore depends only on that stream, and a generator shared
+    across calls advances by the steps actually walked.
+    """
+
+    def __init__(self, graph: SimpleGraph, root: int = 0) -> None:
+        if not graph.is_connected():
+            raise Disconnected("Wilson sampling needs a connected graph")
+        if not (0 <= root < graph.n):
+            raise InvalidGraph(f"root {root} out of range")
+        self.n = graph.n
+        self.root = root
+        self._adj = graph.neighbors()
+        self._degrees = [len(a) for a in self._adj]
+
+    def sample(self, rng: np.random.Generator) -> Tree:
+        adj, degrees, random = self._adj, self._degrees, rng.random
+        max_steps = _MAX_WILSON_STEPS
+        in_tree = [False] * self.n
+        in_tree[self.root] = True
+        edges: list[tuple[int, int]] = []
+        steps = 0
+        for v in range(self.n):
+            if in_tree[v]:
+                continue
+            walk = [v]
+            node = v
+            while not in_tree[node]:
+                steps += 1
+                if steps > max_steps:
+                    raise NumericalFailure("Wilson walk exceeded the step backstop")
+                node = adj[node][int(random() * degrees[node])]
+                walk.append(node)
+            branch = loop_erase(walk)
+            for a, b in zip(branch, branch[1:]):
+                in_tree[a] = True
+                edges.append((min(a, b), max(a, b)))
+        return frozenset(edges)
+
+
 def wilson_sample(
     graph: SimpleGraph,
     rng: np.random.Generator,
     root: int = 0,
 ) -> Tree:
-    """One uniform spanning tree via loop-erased random walks.
-
-    Vertices are attached in index order; each runs a simple random walk
-    until it hits the grown tree, and the erased walk becomes its branch.
-    A cap of 10^8 total steps is a backstop against runaway walks; the BFS
-    connectivity check makes hitting it effectively impossible.
-
-    Each walk step consumes exactly one uniform, ``rng.random()``, and the
-    call draws nothing else from ``rng``.  A tree drawn from a fresh
-    substream therefore depends only on that stream, and a generator shared
-    across calls advances by the steps actually walked.
-    """
-    if not graph.is_connected():
-        raise Disconnected("Wilson sampling needs a connected graph")
-    if not (0 <= root < graph.n):
-        raise InvalidGraph(f"root {root} out of range")
-    adj = graph.neighbors()
-    degrees = [len(a) for a in adj]
-    in_tree = [False] * graph.n
-    in_tree[root] = True
-    edges: list[tuple[int, int]] = []
-    steps = 0
-    for v in range(graph.n):
-        if in_tree[v]:
-            continue
-        walk = [v]
-        node = v
-        while not in_tree[node]:
-            steps += 1
-            if steps > _MAX_WILSON_STEPS:
-                raise NumericalFailure("Wilson walk exceeded the step backstop")
-            node = adj[node][int(rng.random() * degrees[node])]
-            walk.append(node)
-        branch = loop_erase(walk)
-        for a, b in zip(branch, branch[1:]):
-            in_tree[a] = True
-            edges.append((min(a, b), max(a, b)))
-    return frozenset(edges)
+    """One uniform spanning tree via loop-erased random walks; see
+    ``WilsonSampler``, which this prepares afresh on every call."""
+    return WilsonSampler(graph, root).sample(rng)

@@ -163,6 +163,22 @@ class TestMcCommand:
             c["inputs_digest"] for c in checks_b
         ]
 
+    def test_report_values_are_pinned(self, tmp_path, capsys):
+        # each check's value regenerates from the seed alone, however the
+        # samplers seek and consume their streams
+        out = tmp_path / "mc.jsonl"
+        assert main(["mc", "--seed", "42", "--samples", "1000", "--out", str(out)]) == 0
+        _, checks = read_report(out)
+        assert {c["check"]: c["value"] for c in checks} == {
+            "wilson-uniform-k3": 0.9636761353490534,
+            "wilson-uniform-k4": 0.7078313775198539,
+            "soup-count-law": 0.8604575690243831,
+            "occupation-transform-mc": 1.1523725723995513,
+            "isomorphism-mc": 2.0141472176966846,
+            "squared-field-moments": 0.7543687275168115,
+            "complex-field-covariance": 0.5241377132275525,
+        }
+
     def test_config_file_drives_run(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "cfg.json", {"seed": 8, "samples": 150})
         assert main(["mc", "--config", cfg]) == 3
@@ -244,6 +260,59 @@ class TestSampleCommand:
         main(["sample", "--what", "tree", *args])
         cut = [[0, 149]] + [[i, i + 1] for i in range(149) if i != 92]
         assert json.loads(out.read_text())["edges"] == sorted(cut)
+
+    @pytest.mark.parametrize(
+        "what, extra, pinned",
+        [
+            (
+                "soup",
+                [],
+                [
+                    {"count": 0, "loops": []},
+                    {"count": 1, "loops": [[0, 1]]},
+                    {"count": 0, "loops": []},
+                    {"count": 2, "loops": [[1, 0], [0, 1]]},
+                ],
+            ),
+            (
+                "field",
+                [],
+                [
+                    {"counts": [0, 0], "values": [0.0, 0.0]},
+                    {"counts": [1, 1], "values": [0.314190738190997, 0.48167996921116174]},
+                    {"counts": [0, 0], "values": [0.0, 0.0]},
+                    {"counts": [2, 2], "values": [2.5324845885440874, 1.9735169506110273]},
+                ],
+            ),
+            (
+                "field",
+                ["--trivial"],
+                [
+                    {"counts": [0, 0], "values": [0.04927789320369478, 0.506301717777098]},
+                    {"counts": [1, 1], "values": [2.2997727543591564, 2.98565853638929]},
+                    {"counts": [0, 0], "values": [0.03881594085803253, 1.0381039613251732]},
+                    {"counts": [2, 2], "values": [3.7295357702670278, 3.050203444826959]},
+                ],
+            ),
+            (
+                "gff",
+                [],
+                [
+                    {"values": [0.8716946000489855, 0.4668535137426199]},
+                    {"values": [-0.3111553197151749, -2.4328318124577537]},
+                    {"values": [-0.26831109535167885, 0.33009940079229677]},
+                ],
+            ),
+        ],
+    )
+    def test_matrix_records_are_pinned(self, tmp_path, what, extra, pinned):
+        # two-state default matrix; record i regenerates from (3, i) alone
+        out = tmp_path / "dump.jsonl"
+        argv = ["sample", "--what", what, *extra, "--n", "4", "--seed", "3", "--out", str(out)]
+        assert main(argv) == 0
+        records = [json.loads(ln) for ln in out.read_text().splitlines()]
+        for i, body in enumerate(pinned):
+            assert records[i] == {"kind": what, "index": i, "seed": 3, "stream": i, **body}
 
     def test_gff_records(self, tmp_path):
         out = tmp_path / "gff.jsonl"

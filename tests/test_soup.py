@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loopsoup import loops as lp
 from loopsoup import soup as sp
@@ -178,6 +180,21 @@ class TestOccupation:
         rng = substream(2)
         out = sp.continuous_occupation(np.array([0, 0]), 1.5, rng)
         assert np.all(out > 0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        counts=st.lists(st.integers(0, 6), min_size=1, max_size=12),
+        trivial=st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5, 2.75]),
+        index=st.integers(0, 2**40),
+    )
+    def test_scalar_draws_match_one_array_call(self, counts, trivial, index):
+        # zero counts, with and without a fractional trivial part, included
+        counts = np.array(counts)
+        rng = substream(31, index)
+        out = sp.continuous_occupation(counts, trivial, rng)
+        fresh = substream(31, index)
+        np.testing.assert_array_equal(out, fresh.gamma(counts + trivial), strict=True)
+        assert rng.random() == fresh.random()  # same stream position after
 
     def test_negative_shape_rejected(self):
         with pytest.raises(InvalidShape):

@@ -55,6 +55,7 @@ class TestTreeCount:
             (complete_graph(4), 16),
             (path_graph(5), 1),
             (complete_graph(5), 125),  # n^(n-2)
+            (complete_graph(8), 262144),
         ],
     )
     def test_known_counts(self, doc, expected):
@@ -71,6 +72,8 @@ class TestTreeCount:
         split = graph({"vertices": ["a", "b", "c", "d"], "edges": [[0, 1], [2, 3]]})
         assert sp.tree_count_det(split) == 0
         assert sp.enumerate_spanning_trees(split) == []
+        isolated = graph({"vertices": ["a", "b", "c"], "edges": [[0, 1]]})
+        assert sp.tree_count_det(isolated) == 0
 
     def test_enumeration_cap(self):
         with pytest.raises(TooLarge):
@@ -172,6 +175,30 @@ class TestWilson:
         monkeypatch.setattr(sp, "_MAX_WILSON_STEPS", 4)
         with pytest.raises(NumericalFailure):
             sp.wilson_sample(star, substream(62))
+
+    @pytest.mark.parametrize(
+        "doc, root",
+        [
+            (complete_graph(4), 0),
+            (cycle_graph(9), 4),
+            (random_connected_graph(8, 6, seed=12), 3),
+        ],
+    )
+    def test_prepared_sampler_matches_wrapper(self, doc, root):
+        g = graph(doc)
+        sampler = sp.WilsonSampler(g, root=root)
+        a, b = substream(63), substream(63)
+        for _ in range(200):
+            assert sampler.sample(a) == sp.wilson_sample(g, b, root=root)
+        assert a.random() == b.random()  # both streams at the same position
+
+    def test_prepared_sampler_checks_at_build(self):
+        split = graph({"vertices": ["a", "b", "c", "d"], "edges": [[0, 1], [2, 3]]})
+        with pytest.raises(Disconnected):
+            sp.WilsonSampler(split)
+        for root in (-1, 4):
+            with pytest.raises(InvalidGraph):
+                sp.WilsonSampler(graph(complete_graph(4)), root=root)
 
     def test_deterministic_given_stream(self):
         g = graph(complete_graph(4))

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import bisect
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -29,13 +30,14 @@ import numpy as np
 
 from .errors import (
     BranchError,
+    InvalidPath,
     InvalidShape,
     NotPositive,
     NumericalFailure,
     NumericallySingular,
     TooLarge,
 )
-from .loops import RootedLoop, block_weights, local_times, loop_blocks, mass_tail
+from .loops import RootedLoop, block_weights, loop_blocks, mass_tail
 from .matrices import (
     WeightMatrix,
     det_laplacian,
@@ -69,6 +71,9 @@ _POISSON_MAX_TERMS = 100_000
 
 # the branch of a transform power is resolved on at most 2**this grid steps
 _MAX_REFINEMENT = 12
+
+# a soup sampler memoizes bridge rows until they hold this many floats
+_BRIDGE_MEMO_FLOATS = 2**19
 
 
 # --- complex-rate Poisson weights ------------------------------------------
@@ -141,6 +146,15 @@ class SoupSampler:
     is extended until the drawn uniform is covered; a certified envelope on
     the remaining mass, n rho^(L+1) / ((L+1)(1-rho)), clamps the rare draw
     that lands inside floating-point slack at the far tail.
+
+    A bridge step from ``current`` that leaves ``m`` steps to get back to
+    ``root`` picks the next site x with weight Q[current, x] (Q^m)[x, root].
+    The running sums of those weights, then their total, are memoized as
+    one ``array("d")`` row per ``(m, root, current)`` the first time a loop
+    takes that step, so the memo holds only rows that were used.  It stops
+    growing at 2^19 floats (4 MB, plus about 120 bytes per row); a row past
+    that is rebuilt whenever it is used, with the same values.  Either way
+    each step draws one ``rng.random()``, as the uncached walk did.
     """
 
     def __init__(self, q: WeightMatrix, intensity: float) -> None:
@@ -159,9 +173,16 @@ class SoupSampler:
         self._length_cum: list[float] = [
             float(np.trace(self.entries)) / self.total_mass
         ]
-        self._root_cum: list[np.ndarray] = [
-            np.cumsum(np.diag(self.entries)) / max(np.trace(self.entries), 1e-300)
+        self._root_cum: list[list[float]] = [
+            (
+                np.cumsum(np.diag(self.entries)) / max(np.trace(self.entries), 1e-300)
+            ).tolist()
         ]
+        # _bridge[root][m * n_sites + current]: one bridge step's running
+        # sums, then their total
+        self._bridge: list[dict[int, array]] = [{} for _ in range(self.n_sites)]
+        self._bridge_rows = 0
+        self._bridge_cap = max(1, _BRIDGE_MEMO_FLOATS // (self.n_sites + 1))
 
     def _extend_tables(self) -> None:
         nxt = self._powers[-1] @ self.entries
@@ -170,7 +191,7 @@ class SoupSampler:
         diag = np.diag(nxt)
         trace = float(diag.sum())
         self._length_cum.append(self._length_cum[-1] + trace / (n * self.total_mass))
-        self._root_cum.append(np.cumsum(diag) / max(trace, 1e-300))
+        self._root_cum.append((np.cumsum(diag) / max(trace, 1e-300)).tolist())
 
     def _tail_after(self, length: int) -> float:
         return mass_tail(self.n_sites, self.rho, length) / self.total_mass
@@ -186,19 +207,23 @@ class SoupSampler:
         n = self._draw_length(float(rng.random()))
         while len(self._powers) <= n:
             self._extend_tables()
-        root = int(np.searchsorted(self._root_cum[n - 1], rng.random(), side="left"))
-        root = min(root, self.n_sites - 1)
+        random, width = rng.random, self.n_sites
+        last = width - 1
+        root = min(bisect.bisect_left(self._root_cum[n - 1], random()), last)
         sites = [root]
         current = root
-        for j in range(1, n):
-            back = self._powers[n - j][:, root]
-            probs = self.entries[current] * back
-            probs_sum = probs.sum()
-            u = rng.random() * probs_sum
-            nxt = int(np.searchsorted(np.cumsum(probs), u, side="left"))
-            nxt = min(nxt, self.n_sites - 1)
-            sites.append(nxt)
-            current = nxt
+        bridge = self._bridge[root]
+        for m in range(n - 1, 0, -1):
+            row = bridge.get(m * width + current)
+            if row is None:
+                probs = self.entries[current] * self._powers[m][:, root]
+                row = array("d", np.cumsum(probs).tobytes())
+                row.append(float(probs.sum()))
+                if self._bridge_rows < self._bridge_cap:
+                    bridge[m * width + current] = row
+                    self._bridge_rows += 1
+            current = min(bisect.bisect_left(row, random() * row[-1], 0, width), last)
+            sites.append(current)
         return RootedLoop(tuple(sites))
 
     def sample(self, rng: np.random.Generator) -> LoopSoup:
@@ -209,10 +234,14 @@ class SoupSampler:
 
 def discrete_occupation(soup: LoopSoup, n_sites: int) -> np.ndarray:
     """Total visit counts per site over all loops in the soup."""
-    total = np.zeros(n_sites, dtype=np.int64)
+    counts = [0] * n_sites
     for loop in soup.loops:
-        total += local_times(loop, n_sites)
-    return total
+        sites = loop.sites
+        if min(sites) < 0 or max(sites) >= n_sites:
+            raise InvalidPath(f"loop visits a site outside 0..{n_sites - 1}")
+        for site in sites:
+            counts[site] += 1
+    return np.array(counts, dtype=np.int64)
 
 
 def continuous_occupation(
@@ -230,11 +259,11 @@ def continuous_occupation(
     """
     if trivial_shape < 0:
         raise InvalidShape("trivial part needs a nonnegative shape")
-    shapes = (np.asarray(counts, dtype=np.float64) + trivial_shape).tolist()
-    if any(s < 0 for s in shapes):
+    visits = np.asarray(counts, dtype=np.float64).tolist()
+    if any(c < 0 for c in visits):
         raise InvalidShape("negative visit count")
     gamma = rng.gamma
-    return np.array([gamma(s) for s in shapes], dtype=np.float64)
+    return np.array([gamma(c + trivial_shape) for c in visits], dtype=np.float64)
 
 
 def sample_occupation_fields(

@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import Disconnected, InvalidGraph, NumericalFailure, TooLarge
-from .lerw import BoundaryProblem, lerw_weight_formula, loop_erase
+from .lerw import BoundaryProblem, lerw_weight_formula
 from .matrices import WeightMatrix, lu_det
 
 __all__ = [
@@ -266,10 +266,19 @@ class WilsonSampler:
     total steps per tree is a backstop against runaway walks; the BFS
     connectivity check makes hitting it effectively impossible.
 
-    Each walk step consumes exactly one uniform, ``rng.random()``, and
-    ``sample`` draws nothing else from ``rng``.  A tree drawn from a fresh
-    substream therefore depends only on that stream, and a generator shared
-    across calls advances by the steps actually walked.
+    The walk keeps only the last exit from each vertex, ``succ[node]``;
+    retracing those pointers from the start gives the walk's chronological
+    loop erasure (Wilson 1996), so the walk itself is never stored.
+
+    Each walk step consumes exactly one uniform, and ``sample`` draws
+    nothing else from ``rng``.  The uniforms come in ``rng.random(k)``
+    blocks that are never overdrawn: when a block runs dry at a vertex
+    outside the tree, k is 1 plus the number of vertices outside the tree
+    that this walk has not yet visited.  The current vertex needs its next
+    step, and each of those vertices still needs its own last exit, so every
+    uniform drawn is used.  A tree drawn from a fresh substream therefore
+    depends only on that stream, and a generator shared across calls
+    advances by the steps actually walked.
     """
 
     def __init__(self, graph: SimpleGraph, root: int = 0) -> None:
@@ -285,25 +294,43 @@ class WilsonSampler:
     def sample(self, rng: np.random.Generator) -> Tree:
         adj, degrees, random = self._adj, self._degrees, rng.random
         max_steps = _MAX_WILSON_STEPS
-        in_tree = [False] * self.n
+        n = self.n
+        in_tree = [False] * n
         in_tree[self.root] = True
+        succ = [0] * n
+        walk_of = [-1] * n  # the start of the last walk that visited a vertex
+        outside = n - 1  # vertices not yet in the tree
+        uniforms: list[float] = []
+        used = 0
         edges: list[tuple[int, int]] = []
         steps = 0
-        for v in range(self.n):
+        for v in range(n):
             if in_tree[v]:
                 continue
-            walk = [v]
+            walk_of[v] = v
+            visited = 1  # vertices outside the tree this walk has visited
             node = v
             while not in_tree[node]:
                 steps += 1
                 if steps > max_steps:
                     raise NumericalFailure("Wilson walk exceeded the step backstop")
-                node = adj[node][int(random() * degrees[node])]
-                walk.append(node)
-            branch = loop_erase(walk)
-            for a, b in zip(branch, branch[1:]):
-                in_tree[a] = True
-                edges.append((min(a, b), max(a, b)))
+                if used == len(uniforms):
+                    uniforms = random(1 + outside - visited).tolist()
+                    used = 0
+                nxt = adj[node][int(uniforms[used] * degrees[node])]
+                used += 1
+                succ[node] = nxt
+                if walk_of[nxt] != v and not in_tree[nxt]:
+                    walk_of[nxt] = v
+                    visited += 1
+                node = nxt
+            node = v
+            while not in_tree[node]:
+                in_tree[node] = True
+                outside -= 1
+                nxt = succ[node]
+                edges.append((node, nxt) if node < nxt else (nxt, node))
+                node = nxt
         return frozenset(edges)
 
 

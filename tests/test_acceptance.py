@@ -105,11 +105,12 @@ def test_c5_wilson_uniformity():
         g = spanning.SimpleGraph.from_json_dict(doc)
         trees = spanning.enumerate_spanning_trees(g)
         index = {t: i for i, t in enumerate(trees)}
+        wilson = spanning.WilsonSampler(g)
         for seed in (42, 43, 44, 45, 46):
             rng = substream(seed)
             counts = np.zeros(len(trees))
             for _ in range(100_000):
-                counts[index[spanning.wilson_sample(g, rng)]] += 1
+                counts[index[wilson.sample(rng)]] += 1
             assert scipy.stats.chisquare(counts).pvalue > 0.001
     assert time.perf_counter() - started < 60.0
 

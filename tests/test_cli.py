@@ -314,6 +314,84 @@ class TestSampleCommand:
         for i, body in enumerate(pinned):
             assert records[i] == {"kind": what, "index": i, "seed": 3, "stream": i, **body}
 
+    @pytest.mark.parametrize(
+        "what, extra, pinned",
+        [
+            (
+                "soup",
+                [],
+                [
+                    {"count": 0, "loops": []},
+                    {
+                        "count": 3,
+                        "loops": [
+                            [1, 7, 9, 10, 0, 7, 7, 9, 2, 4, 3, 9, 4, 2, 9, 2, 7, 3, 1, 2, 11, 1, 1],
+                            [7],
+                            [3, 6],
+                        ],
+                    },
+                    {"count": 1, "loops": [[6, 4]]},
+                    {"count": 3, "loops": [[9, 5, 6, 4, 10], [8, 4, 8, 9, 4, 5, 3, 5, 3], [10]]},
+                ],
+            ),
+            (
+                "field",
+                ["--trivial"],
+                [
+                    {
+                        "counts": [0] * 12,
+                        "values": [
+                            0.04927789320369478, 0.506301717777098, 0.7432864937406729,
+                            1.4852361052486984, 1.16809042573917, 3.094289704141118,
+                            1.5505066763578765, 0.2074855938585725, 0.81185830126406,
+                            0.3463158529768104, 0.6303319272672724, 0.19657312434510107,
+                        ],
+                    },
+                    {
+                        "counts": [1, 4, 4, 3, 2, 0, 1, 5, 0, 4, 1, 1],
+                        "values": [
+                            1.355988298552651, 5.379300570656185, 5.321301314412912,
+                            1.9998566932382291, 1.4843854919965631, 0.3957729296973742,
+                            1.3955338109525515, 7.914728017156864, 0.339783485772419,
+                            3.74719262716466, 1.7152752624168965, 2.298397799359186,
+                        ],
+                    },
+                    {
+                        "counts": [0, 0, 0, 0, 1, 0, 1, 0, 0, 0, 0, 0],
+                        "values": [
+                            0.05741791237687124, 0.12103386336465437, 0.3861162247916002,
+                            3.0552783136052803, 0.6462682430152228, 0.2548585547428639,
+                            1.738169595106703, 1.9934006129445694, 0.899453382128546,
+                            0.07232640429774857, 0.7384116133340312, 3.5636660867639836,
+                        ],
+                    },
+                    {
+                        "counts": [0, 0, 0, 2, 3, 3, 1, 0, 2, 2, 2, 0],
+                        "values": [
+                            0.0007316564427201683, 1.3243886724052318, 1.6114090457989325,
+                            0.8787915538120827, 6.7830630043591515, 5.731087591906356,
+                            1.5857371098736035, 1.082764907664468, 2.8491986438193226,
+                            1.4745107584564876, 1.2190958627389064, 0.8904180807876595,
+                        ],
+                    },
+                ],
+            ),
+        ],
+    )
+    def test_long_loop_records_are_pinned(self, tmp_path, what, extra, pinned):
+        # 12 sites at rho 0.9: record 1 holds a 23-step loop, so the bridge
+        # walks far past the two-state default's lengths
+        q = fx.random_symmetric_positive(12, 0.9, seed=8)
+        mat = write_json(tmp_path / "q12.json", q.to_json_dict())
+        out = tmp_path / "dump.jsonl"
+        argv = ["sample", "--what", what, *extra, "--n", "4", "--seed", "3", "--matrix", mat]
+        assert main([*argv, "--out", str(out)]) == 0
+        records = [json.loads(ln) for ln in out.read_text().splitlines()]
+        for i, body in enumerate(pinned):
+            assert records[i] == {"kind": what, "index": i, "seed": 3, "stream": i, **body}
+        if what == "soup":
+            assert max(len(lo) for r in records for lo in r["loops"]) > 20
+
     def test_gff_records(self, tmp_path):
         out = tmp_path / "gff.jsonl"
         main(["sample", "--what", "gff", "--n", "6", "--seed", "4", "--out", str(out)])

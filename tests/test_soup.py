@@ -99,6 +99,27 @@ def asym_two_site() -> WeightMatrix:
     return WeightMatrix.from_entries(("a", "b"), [[0.15, 0.4], [0.3, 0.1]])
 
 
+def _reference_sample_loop(sampler: sp.SoupSampler, rng) -> lp.RootedLoop:
+    # the bridge walk as one numpy pass per step, with nothing memoized
+    n = sampler._draw_length(float(rng.random()))
+    while len(sampler._powers) <= n:
+        sampler._extend_tables()
+    root_cum = np.asarray(sampler._root_cum[n - 1])
+    root = int(np.searchsorted(root_cum, rng.random(), side="left"))
+    root = min(root, sampler.n_sites - 1)
+    sites = [root]
+    current = root
+    for j in range(1, n):
+        back = sampler._powers[n - j][:, root]
+        probs = sampler.entries[current] * back
+        u = rng.random() * probs.sum()
+        nxt = int(np.searchsorted(np.cumsum(probs), u, side="left"))
+        nxt = min(nxt, sampler.n_sites - 1)
+        sites.append(nxt)
+        current = nxt
+    return lp.RootedLoop(tuple(sites))
+
+
 class TestSoupSampler:
     def test_rejects_signed_weights(self):
         with pytest.raises(NotPositive):
@@ -155,6 +176,39 @@ class TestSoupSampler:
             sigma = ell[j] / n_soups / math.sqrt(n_soups)  # crude scale
             assert abs(ell[j] / n_soups - expect) < 6 * max(sigma, 1e-3)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 6),
+        rho=st.sampled_from([0.2, 0.6, 0.9, 0.97]),
+        seed=st.integers(0, 2**20),
+        sparsity=st.sampled_from([0.0, 0.5, 0.8]),
+        index=st.integers(0, 2**40),
+    )
+    def test_bridge_matches_uncached_numpy_step(self, n, rho, seed, sparsity, index):
+        # off-diagonal zeros make some bridge steps impossible; the diagonal
+        # stays, so every matrix carries loop mass
+        base = np.abs(random_acceptable(n, rho, seed).entries.real)
+        cut = substream(seed, 1).random((n, n)) < sparsity
+        np.fill_diagonal(cut, False)
+        q = WeightMatrix.from_entries(tuple(f"s{i}" for i in range(n)), np.where(cut, 0.0, base))
+        sampler, reference = sp.SoupSampler(q, 1.0), sp.SoupSampler(q, 1.0)
+        a, b = substream(seed, index), substream(seed, index)
+        for _ in range(40):
+            assert sampler.sample_loop(a) == _reference_sample_loop(reference, b)
+        assert a.random() == b.random()  # same stream position after
+
+    def test_full_memo_keeps_the_bridge_law(self, monkeypatch):
+        # past its cap the memo stops growing and new rows are used once
+        monkeypatch.setattr(sp, "_BRIDGE_MEMO_FLOATS", 20)
+        entries = np.abs(random_acceptable(4, 0.95, 21).entries.real)
+        q = WeightMatrix.from_entries(tuple("abcd"), entries)
+        sampler, reference = sp.SoupSampler(q, 1.0), sp.SoupSampler(q, 1.0)
+        a, b = substream(22), substream(22)
+        for _ in range(300):
+            assert sampler.sample_loop(a) == _reference_sample_loop(reference, b)
+        assert a.random() == b.random()
+        assert sum(len(rows) for rows in sampler._bridge) == 4  # 20 floats // 5
+
     def test_length_clamp_never_overruns(self):
         # drive the sampler hard; lengths stay finite and tables consistent
         q = one_point(0.9)
@@ -169,6 +223,23 @@ class TestOccupation:
     def test_discrete_counts_loop_visits(self):
         soup = sp.LoopSoup(1.0, (lp.RootedLoop((0, 1)), lp.RootedLoop((1,))))
         np.testing.assert_array_equal(sp.discrete_occupation(soup, 3), [1, 2, 0])
+
+    def test_discrete_occupation_matches_local_times(self):
+        entries = np.abs(random_acceptable(5, 0.9, 11).entries.real)
+        sampler = sp.SoupSampler(WeightMatrix.from_entries(tuple("abcde"), entries), 2.0)
+        for i in range(50):
+            soup = sampler.sample(substream(12, i))
+            counts = sp.discrete_occupation(soup, 5)
+            expected = np.zeros(5, dtype=np.int64)
+            for loop in soup.loops:
+                expected += lp.local_times(loop, 5)
+            np.testing.assert_array_equal(counts, expected, strict=True)
+
+    @pytest.mark.parametrize("sites", [(0, -1), (3, 1)])
+    def test_discrete_rejects_sites_out_of_range(self, sites):
+        soup = sp.LoopSoup(1.0, (lp.RootedLoop((1,)), lp.RootedLoop(sites)))
+        with pytest.raises(ValueError):
+            sp.discrete_occupation(soup, 3)
 
     def test_continuous_zero_counts_stay_zero(self):
         rng = substream(1)
@@ -199,6 +270,12 @@ class TestOccupation:
     def test_negative_shape_rejected(self):
         with pytest.raises(InvalidShape):
             sp.continuous_occupation(np.array([0]), -0.5, substream(3))
+
+    @pytest.mark.parametrize("counts, trivial", [([-1, 2], 1.5), ([0, -1], 0.0)])
+    def test_negative_count_rejected(self, counts, trivial):
+        # a trivial part large enough to lift the shape above zero still fails
+        with pytest.raises(InvalidShape, match="negative visit count"):
+            sp.continuous_occupation(np.array(counts), trivial, substream(3))
 
     def test_batch_shape_and_determinism(self):
         q = two_state()

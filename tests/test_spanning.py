@@ -4,9 +4,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loopsoup import spanning as sp
 from loopsoup.errors import Disconnected, InvalidGraph, NumericalFailure, TooLarge
+from loopsoup.lerw import loop_erase
 from loopsoup.fixtures import (
     complete_graph,
     cycle_graph,
@@ -18,6 +21,28 @@ from loopsoup.rng import substream
 
 def graph(doc: dict) -> sp.SimpleGraph:
     return sp.SimpleGraph.from_json_dict(doc)
+
+
+def reference_wilson(g: sp.SimpleGraph, rng, root: int) -> sp.Tree:
+    # each walk stored whole and erased by lerw.loop_erase, one
+    # rng.random() call per step
+    adj = g.neighbors()
+    in_tree = [False] * g.n
+    in_tree[root] = True
+    edges = []
+    for v in range(g.n):
+        if in_tree[v]:
+            continue
+        walk = [v]
+        node = v
+        while not in_tree[node]:
+            node = adj[node][int(rng.random() * len(adj[node]))]
+            walk.append(node)
+        branch = loop_erase(walk)
+        for a, b in zip(branch, branch[1:]):
+            in_tree[a] = True
+            edges.append((min(a, b), max(a, b)))
+    return frozenset(edges)
 
 
 class TestSimpleGraph:
@@ -191,6 +216,31 @@ class TestWilson:
         for _ in range(200):
             assert sampler.sample(a) == sp.wilson_sample(g, b, root=root)
         assert a.random() == b.random()  # both streams at the same position
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        shape=st.one_of(
+            st.tuples(st.just("random"), st.integers(1, 14), st.integers(0, 30)),
+            st.tuples(st.just("cycle"), st.integers(3, 120), st.just(0)),
+            st.tuples(st.just("path"), st.integers(1, 30), st.just(0)),
+        ),
+        seed=st.integers(0, 2**20),
+        root_pick=st.integers(0, 2**20),
+        index=st.integers(0, 2**40),
+    )
+    def test_matches_loop_erased_walks(self, shape, seed, root_pick, index):
+        kind, n, extra = shape
+        if kind == "random":
+            doc = random_connected_graph(n, extra, seed)
+        else:
+            doc = cycle_graph(n) if kind == "cycle" else path_graph(n)
+        g = graph(doc)
+        root = root_pick % g.n
+        sampler = sp.WilsonSampler(g, root=root)
+        a, b = substream(seed, index), substream(seed, index)
+        for _ in range(5):  # one shared stream across trees
+            assert sampler.sample(a) == reference_wilson(g, b, root)
+        assert a.random() == b.random()  # same stream position after
 
     def test_prepared_sampler_checks_at_build(self):
         split = graph({"vertices": ["a", "b", "c", "d"], "edges": [[0, 1], [2, 3]]})

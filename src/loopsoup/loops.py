@@ -44,12 +44,12 @@ __all__ = [
     "canonicalize",
     "loop_blocks",
     "block_weights",
+    "loop_prefix_sums",
     "enumerate_rooted_loops",
     "loop_mass_per_length",
     "mass_tail",
     "loop_mass_truncated",
     "meeting_mass_truncated",
-    "loop_mass_enumerated",
     "exp_truncated",
     "exp_loop_mass_det",
     "exp_meeting_mass_greens",
@@ -144,6 +144,27 @@ def local_times(loop: RootedLoop, n_sites: int) -> np.ndarray:
     return np.bincount(np.asarray(loop.sites), minlength=n_sites)
 
 
+def _loops_per_root(support: np.ndarray, max_len: int) -> tuple[list[np.ndarray], int]:
+    """Rooted loops of each length 1..max_len per root, and the loop budget.
+
+    Entry n-1 of the list counts the length-n loops at each root, the
+    diagonal of support^n.  Raises TooLarge, before any loop is built, when
+    more than the budget would be produced; counts saturate at budget + 1.
+    """
+    n_sites = len(support)
+    # the clamp keeps the running sums here and in loop_blocks within int64
+    budget = min(DEFAULT_BUDGET, 2**62 // n_sites**3)
+    steps = support.astype(np.int64, copy=False)
+    paths, per_root, total = np.eye(n_sites, dtype=np.int64), [], 0
+    for _ in range(max_len):
+        paths = np.minimum(steps @ paths, budget + 1)
+        per_root.append(paths.diagonal().copy())
+        total += int(per_root[-1].sum())
+        if total > budget:
+            raise TooLarge(f"loop enumeration exceeded budget of {budget}")
+    return per_root, budget
+
+
 def loop_blocks(q: WeightMatrix, max_len: int) -> Iterator[np.ndarray]:
     """All rooted loops of length <= max_len with nonzero steps, in blocks.
 
@@ -153,16 +174,7 @@ def loop_blocks(q: WeightMatrix, max_len: int) -> Iterator[np.ndarray]:
     would be produced.  Past the support, it holds one root's tables.
     """
     support = q.support().astype(np.int64)
-    # path counts saturate at budget + 1; the clamp keeps every running sum
-    # below within int64
-    budget = min(DEFAULT_BUDGET, 2**62 // q.n**3)
-    paths, per_root, total = np.eye(q.n, dtype=np.int64), [], 0
-    for _ in range(max_len):
-        paths = np.minimum(support @ paths, budget + 1)
-        per_root.append(paths.diagonal().copy())  # loops of this length per root
-        total += int(per_root[-1].sum())
-        if total > budget:
-            raise TooLarge(f"loop enumeration exceeded budget of {budget}")
+    per_root, budget = _loops_per_root(support, max_len)
     last, nxt = np.nonzero(support)
     # the steps leaving site x are bounds[x]:bounds[x + 1] of (last, nxt)
     bounds = np.searchsorted(last, np.arange(q.n + 1))
@@ -208,6 +220,81 @@ def block_weights(
     if reverse:
         return q.entries[nxt, block][:, ::-1].prod(axis=1)
     return q.entries[block, nxt].prod(axis=1)
+
+
+def _steps_back(support: np.ndarray, root: int, max_len: int) -> np.ndarray:
+    """Fewest steps (at least one) from each site back to ``root``.
+
+    Sites that need max_len steps or more, or never return, get max_len.
+    """
+    steps = np.full(len(support), max_len)
+    reach = support[:, root]
+    for k in range(1, max_len):
+        steps[reach & (steps == max_len)] = k
+        reach = support @ reach
+    return steps
+
+
+def loop_prefix_sums(
+    q: WeightMatrix,
+    max_len: int,
+    factor: Sequence[complex],
+    reverse: bool = False,
+) -> np.ndarray:
+    """Per-length sums of Q(loop) and of Q(loop) * prod(factor[x]) over loops.
+
+    Returns a (2, max_len) complex array whose entry [k, n-1] is a sum over
+    the rooted loops of length n: row 0 of Q(loop), row 1 of Q(loop) times
+    the product of ``factor`` over the loop's sites.  With ``reverse``, rows
+    2 and 3 do the same for the weight of the loop walked backwards.
+
+    The loops are those of ``loop_blocks``, and each is summed literally,
+    once, as a leaf of a depth-first walk from every root.  A path x_0..x_d
+    carries its running products, one multiply per step, and the closing
+    entry Q(x_d, x_0) makes it the loop of length d + 1; loops with a common
+    prefix share its products.  A path that cannot return to the root within
+    the steps left is not extended.  Pending paths wait on a stack in chunks
+    of at most 1024 rows, so memory stays O(max_len * n * 1024).  Refuses
+    the budget of ``loop_blocks`` with TooLarge before any work.
+    """
+    support = q.support()
+    per_root, _ = _loops_per_root(support, max_len)
+    factor = np.asarray(factor, dtype=np.complex128)
+    last, nxt = np.nonzero(support)
+    # the steps leaving site x are bounds[x]:bounds[x + 1] of (last, nxt)
+    bounds = np.searchsorted(last, np.arange(q.n + 1))
+    degree = np.diff(bounds)
+    # one row per running weight: forwards, and backwards with ``reverse``
+    walks = (q.entries, q.entries.T) if reverse else (q.entries,)
+    step = np.array([w[last, nxt] for w in walks])
+    step_factor = factor[nxt]
+    sums = np.zeros((2 * len(walks), max_len), dtype=np.complex128)
+    for root in np.flatnonzero(np.sum(per_root, axis=0)):
+        steps_left = _steps_back(support, root, max_len)[nxt]
+        # a path closes into a loop only along a supported step back to root
+        close = np.where(support[:, root], np.array([w[:, root] for w in walks]), 0.0)
+        stack = [(0, np.array([root]), np.ones((len(walks), 1)), factor[[root]])]
+        while stack:
+            depth, sites, weights, disc = stack.pop()
+            loops = weights * close[:, sites]
+            sums[::2, depth] += loops.sum(axis=1)
+            sums[1::2, depth] += loops @ disc
+            if depth + 1 == max_len:
+                continue
+            # every step out of every row that can still close in time
+            counts = degree[sites]
+            ends = np.cumsum(counts)
+            parent = np.repeat(np.arange(len(sites)), counts)
+            edge = np.arange(ends[-1]) + np.repeat(bounds[sites] - ends + counts, counts)
+            keep = steps_left[edge] < max_len - depth
+            parent, edge = parent[keep], edge[keep]
+            sites = nxt[edge]
+            weights = weights[:, parent] * step[:, edge]
+            disc = disc[parent] * step_factor[edge]
+            for lo in reversed(range(0, len(edge), _BLOCK_ROWS)):
+                chunk = slice(lo, lo + _BLOCK_ROWS)
+                stack.append((depth + 1, sites[chunk], weights[:, chunk], disc[chunk]))
+    return sums
 
 
 def enumerate_rooted_loops(q: WeightMatrix, max_len: int) -> Iterator[RootedLoop]:
@@ -274,24 +361,6 @@ def meeting_mass_truncated(
     if rest:
         total = total - loop_mass_per_length(restrict(q, rest), max_len)
     return TruncatedMass(complex(total.sum()), mass_tail(q.n, rho, max_len), max_len)
-
-
-def loop_mass_enumerated(
-    q: WeightMatrix, max_len: int, meeting: Sequence[str] | None = None
-) -> complex:
-    """Literal sum of m(loop) over enumerated loops; oracle for the traces.
-
-    With ``meeting`` given, only loops visiting at least one listed site
-    contribute.
-    """
-    targets = q.space.indices(meeting) if meeting is not None else None
-    total = 0.0 + 0.0j
-    for block in loop_blocks(q, max_len):
-        weights = block_weights(q, block)
-        if targets is not None:
-            weights = weights[np.isin(block, targets).any(axis=1)]
-        total += weights.sum() / block.shape[1]
-    return complex(total)
 
 
 def exp_truncated(mass: TruncatedMass) -> tuple[complex, float]:

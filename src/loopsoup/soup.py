@@ -37,7 +37,7 @@ from .errors import (
     NumericallySingular,
     TooLarge,
 )
-from .loops import RootedLoop, block_weights, loop_blocks, mass_tail
+from .loops import RootedLoop, loop_prefix_sums, mass_tail
 from .matrices import (
     WeightMatrix,
     det_laplacian,
@@ -414,18 +414,20 @@ def _loop_sum_check(
     max_len: int,
     reversal: bool,
 ) -> LoopSumCheck:
-    # closed transform at t (2t with reversal) against exp(t * truncated sum
-    # of m_f - m), the loop taken with its reversal when ``reversal`` is set
+    """Closed transform at t (2t with ``reversal``) against exp(t * S).
+
+    S is the truncated sum over rooted loops of m_f - m, each loop taken
+    with its reversal when ``reversal`` is set.  Every loop up to max_len
+    is a leaf of the prefix walk of ``loop_prefix_sums``, so S stays a
+    literal loop sum.
+    """
     rho = require_acceptable(q)
     vec = np.asarray(f, dtype=np.complex128)
     closed = nu_transform_closed(q, vec, 2 * intensity if reversal else intensity)
-    exponent = 0.0 + 0.0j
-    for block in loop_blocks(q, max_len):
-        weights = block_weights(q, block)
-        if reversal:
-            weights = weights + block_weights(q, block, reverse=True)
-        discount = np.prod(1.0 / (1.0 + vec[block]), axis=1)
-        exponent += np.sum(weights * discount - weights) / block.shape[1]
+    sums = loop_prefix_sums(q, max_len, 1.0 / (1.0 + vec), reverse=reversal)
+    # discounted minus plain weights, per length, over the loop lengths
+    per_length = (sums[1::2] - sums[::2]).sum(axis=0)
+    exponent = np.sum(per_length / np.arange(1, max_len + 1))
     summed = complex(np.exp(intensity * exponent))
     # the loops past max_len of m and of m_f weigh at most mass_tail each;
     # the reversed copies double that, and the plain check keeps the factor
@@ -462,6 +464,8 @@ def occupation_transform_loop_check(
     The soup of intensity t has E[exp(-<f, field>)] equal to the exponential
     of t times the sum over rooted loops of m_f(loop) - m(loop), m_f being
     the measure with each visit to x discounted by 1/(1 + f(x)).  That sum
-    is taken literally over loops up to ``max_len``.
+    is taken literally over loops up to ``max_len``: each loop is one leaf
+    of the prefix walk of ``loops.loop_prefix_sums``, and loops sharing a
+    prefix share its running products.
     """
     return _loop_sum_check(q, f, intensity, max_len, reversal=False)

@@ -116,6 +116,44 @@ class TestVerifyCommand:
                 "outcome",
             }
 
+    def test_loop_sum_checks_are_pinned(self, tmp_path, capsys):
+        # the literal loop sums may move only in their last bits, with the
+        # suite's check list and verdicts unchanged
+        out = tmp_path / "report.jsonl"
+        assert main(["verify", "--out", str(out)]) == 0
+        _, checks = read_report(out)
+        assert [(c["check"], c["outcome"]) for c in checks] == [
+            (name, "pass")
+            for name in (
+                "two-state-greens-renewal",
+                "two-state-det-product-orderings",
+                "two-state-loop-mass-det",
+                "two-state-meeting-mass-greens",
+                "cpx4-greens-renewal",
+                "cpx4-det-product-orderings",
+                "cpx4-loop-mass-det",
+                "cpx4-meeting-mass-greens",
+                "first-return-series",
+                "lerw-formula-brute",
+                "matrix-tree-count",
+                "tree-probability-uniform",
+                "reversal-transform",
+                "occupation-transform-loops",
+                "poisson-closed-forms",
+                "gff-isomorphism-exact",
+                "pushforward-per-loop",
+                "doubling-det-squared",
+                "doubled-transform",
+            )
+        ]
+        by_name = {c["check"]: c for c in checks}
+        for name, value, bound in (
+            ("reversal-transform", -5.145308686370669e-06, 1e-12),
+            ("occupation-transform-loops", 1.7208164689979835e-10, 0.00010104681452179197),
+        ):
+            assert abs(by_name[name]["value"] - value) <= 1e-15
+            assert abs(by_name[name]["bound"] - bound) <= 1e-15
+
     def test_extra_fixture_is_checked(self, tmp_path, capsys):
         mat = write_json(tmp_path / "sym.json", fx.two_state().to_json_dict())
         cfg = write_json(tmp_path / "cfg.json", {"fixtures": [mat], "max_len": 10})

@@ -117,18 +117,34 @@ def _supported_matrices(draw):
     )
 
 
+_SUPPORT_CASES = pytest.mark.parametrize(
+    "entries, max_len",
+    [
+        (np.full((3, 3), 0.2), 7),
+        ([[0, 0.3, 0, 0], [0, 0, 0.3, 0.1], [0.3, 0, 0, 0], [0, 0, 0.2, 0]], 9),
+        ([[0.3, 0.2], [0.1, 0.0]], 8),
+        ([[0.2, 0.3, 0.0], [0.0, 0.0, 0.0], [0.2, 0.1, 0.3]], 7),
+        ([[0.4]], 6),
+    ],
+    ids=["dense", "sparse", "self-loop", "zero-row", "one-site"],
+)
+
+# loops of each length on two large supports, and the traced peak allowed
+_LARGE_SUPPORTS = pytest.mark.parametrize(
+    "support, per_length, peak_mb",
+    [
+        # 300 self-loops and 300^2 two-step loops
+        (np.ones((300, 300)), [300, 300**2], 16),
+        # a 200-site cycle, both directions: binom(n, n/2) per even n
+        (np.eye(200, k=1) + np.eye(200, k=-1) + np.eye(200, k=199)
+         + np.eye(200, k=-199), [0, 200 * 2, 0, 200 * 6, 0, 200 * 20, 0, 200 * 70], 4),
+    ],
+    ids=["dense-300", "cycle-200"],
+)
+
+
 class TestLoopBlocks:
-    @pytest.mark.parametrize(
-        "entries, max_len",
-        [
-            (np.full((3, 3), 0.2), 7),
-            ([[0, 0.3, 0, 0], [0, 0, 0.3, 0.1], [0.3, 0, 0, 0], [0, 0, 0.2, 0]], 9),
-            ([[0.3, 0.2], [0.1, 0.0]], 8),
-            ([[0.2, 0.3, 0.0], [0.0, 0.0, 0.0], [0.2, 0.1, 0.3]], 7),
-            ([[0.4]], 6),
-        ],
-        ids=["dense", "sparse", "self-loop", "zero-row", "one-site"],
-    )
+    @_SUPPORT_CASES
     def test_rows_match_reference_order(self, entries, max_len):
         labels = [f"s{i}" for i in range(len(entries))]
         q = mx.WeightMatrix.from_entries(labels, entries)
@@ -149,30 +165,20 @@ class TestLoopBlocks:
         # a single block of length-60 loops takes 1024 * 60 * 8 bytes
         assert peak < 64 * 1024
 
-    @pytest.mark.parametrize(
-        "support, max_len, n_loops, peak_mb",
-        [
-            # 300 self-loops and 300^2 two-step loops
-            (np.ones((300, 300)), 2, 300 + 300**2, 16),
-            # a 200-site cycle, both directions: binom(n, n/2) per even n
-            (np.eye(200, k=1) + np.eye(200, k=-1) + np.eye(200, k=199)
-             + np.eye(200, k=-199), 8, 200 * (2 + 6 + 20 + 70), 4),
-        ],
-        ids=["dense-300", "cycle-200"],
-    )
-    def test_memory_scales_with_one_root(self, support, max_len, n_loops, peak_mb):
+    @_LARGE_SUPPORTS
+    def test_memory_scales_with_one_root(self, support, per_length, peak_mb):
         labels = [f"s{i}" for i in range(len(support))]
         q = mx.WeightMatrix.from_entries(labels, 1e-3 * support)
         tracemalloc.start()
         try:
-            rows = 0
-            for block in lp.loop_blocks(q, max_len):
+            rows = np.zeros(len(per_length), dtype=np.int64)
+            for block in lp.loop_blocks(q, len(per_length)):
                 assert support[block, np.roll(block, -1, axis=1)].all()
-                rows += len(block)
+                rows[block.shape[1] - 1] += len(block)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert rows == n_loops
+        np.testing.assert_array_equal(rows, per_length)
         # tables for all roots at once would take about 1.3 GB on dense-300
         assert peak < peak_mb * 2**20
 
@@ -187,6 +193,89 @@ class TestLoopBlocks:
             scale[block.shape[1] - 1] += np.abs(measure).sum()
         traced = lp.loop_mass_per_length(q, max_len)
         assert np.all(np.abs(summed - traced) <= 1e-12 * scale)
+
+
+def _reference_prefix_sums(q, max_len, factor):
+    """The four per-length sums of loop_prefix_sums over the rows of
+    loop_blocks, and the per-length sums of the terms' moduli."""
+    sums = np.zeros((4, max_len), dtype=np.complex128)
+    scale = np.zeros((4, max_len))
+    for block in lp.loop_blocks(q, max_len):
+        disc = np.prod(factor[block], axis=1)
+        plain, back = lp.block_weights(q, block), lp.block_weights(q, block, reverse=True)
+        for k, terms in enumerate((plain, plain * disc, back, back * disc)):
+            sums[k, block.shape[1] - 1] += terms.sum()
+            scale[k, block.shape[1] - 1] += np.abs(terms).sum()
+    return sums, scale
+
+
+@st.composite
+def _prefix_walk_inputs(draw):
+    """Complex weights on 1-6 sites with 0-80% zeros, sometimes a zero row,
+    a length cap up to 9 that keeps the reference within 20 000 loops, and a
+    complex factor per site."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    values = rng.uniform(-1.0, 1.0, (n, n)) + 1j * rng.uniform(-1.0, 1.0, (n, n))
+    values[rng.uniform(size=(n, n)) < draw(st.floats(min_value=0.0, max_value=0.8))] = 0.0
+    if draw(st.booleans()):
+        values[rng.integers(n)] = 0.0
+    support = (values != 0).astype(np.int64)
+    counts = np.cumsum(
+        [np.trace(np.linalg.matrix_power(support, k)) for k in range(1, 10)]
+    )
+    max_len = draw(st.integers(min_value=1, max_value=int(np.sum(counts <= 20_000))))
+    factor = rng.uniform(-1.5, 1.5, n) + 1j * rng.uniform(-1.5, 1.5, n)
+    q = mx.WeightMatrix.from_entries([f"s{i}" for i in range(n)], values)
+    return q, max_len, factor
+
+
+class TestLoopPrefixSums:
+    @staticmethod
+    def _assert_matches_reference(q, max_len, factor):
+        want, scale = _reference_prefix_sums(q, max_len, factor)
+        got = lp.loop_prefix_sums(q, max_len, factor, reverse=True)
+        assert got.shape == (4, max_len)
+        assert np.all(np.abs(got - want) <= 1e-12 * scale)
+        got = lp.loop_prefix_sums(q, max_len, factor)
+        assert got.shape == (2, max_len)
+        assert np.all(np.abs(got - want[:2]) <= 1e-12 * scale[:2])
+
+    @_SUPPORT_CASES
+    def test_fixed_supports_match_loop_blocks(self, entries, max_len):
+        q = mx.WeightMatrix.from_entries([f"s{i}" for i in range(len(entries))], entries)
+        factor = np.linspace(0.5, 1.5, q.n) * np.exp(0.3j * np.arange(q.n))
+        self._assert_matches_reference(q, max_len, factor)
+
+    @given(_prefix_walk_inputs())
+    @settings(max_examples=80, deadline=None)
+    def test_per_length_sums_match_loop_blocks(self, inputs):
+        self._assert_matches_reference(*inputs)
+
+    def test_budget_refused_before_any_work(self):
+        q = mx.WeightMatrix.from_entries(("a", "b", "c"), np.full((3, 3), 0.1))
+        tracemalloc.start()
+        try:
+            with pytest.raises(TooLarge):
+                lp.loop_prefix_sums(q, 60, np.ones(3), reverse=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
+    @_LARGE_SUPPORTS
+    def test_counts_and_memory_on_large_supports(self, support, per_length, peak_mb):
+        # on a 0/1 copy of the support every loop weighs one
+        labels = [f"s{i}" for i in range(len(support))]
+        q = mx.WeightMatrix.from_entries(labels, support)
+        tracemalloc.start()
+        try:
+            sums = lp.loop_prefix_sums(q, len(per_length), np.ones(q.n))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(sums, [per_length, per_length])
+        assert peak < peak_mb * 2**20
 
 
 class TestLoopWeight:
@@ -208,6 +297,22 @@ class TestLoopWeight:
         np.testing.assert_array_equal(lp.local_times(loop, 4), [2, 1, 1, 0])
 
 
+def _mass_enumerated(q, max_len, meeting=None):
+    """Literal sum of m(loop) over the rows of loop_blocks; oracle for the traces.
+
+    With ``meeting`` given, only loops visiting at least one listed site
+    contribute.
+    """
+    targets = q.space.indices(meeting) if meeting is not None else None
+    total = 0.0 + 0.0j
+    for block in lp.loop_blocks(q, max_len):
+        weights = lp.block_weights(q, block)
+        if targets is not None:
+            weights = weights[np.isin(block, targets).any(axis=1)]
+        total += weights.sum() / block.shape[1]
+    return complex(total)
+
+
 class TestMasses:
     def test_one_point_log_series(self):
         # mass of all loops at a single q-site is -log(1 - q)
@@ -216,13 +321,13 @@ class TestMasses:
 
     def test_trace_route_matches_enumeration(self):
         q = random_acceptable(3, 0.6, seed=47, complex_entries=True)
-        lit = lp.loop_mass_enumerated(q, max_len=8)
+        lit = _mass_enumerated(q, max_len=8)
         tr = lp.loop_mass_truncated(q, max_len=8)
         assert lit == pytest.approx(tr.value, rel=1e-10)
 
     def test_meeting_trace_matches_enumeration(self):
         q = random_acceptable(3, 0.6, seed=53, complex_entries=True)
-        lit = lp.loop_mass_enumerated(q, max_len=8, meeting=["s0", "s2"])
+        lit = _mass_enumerated(q, max_len=8, meeting=["s0", "s2"])
         tr = lp.meeting_mass_truncated(q, ["s0", "s2"], max_len=8)
         assert lit == pytest.approx(tr.value, rel=1e-10)
 

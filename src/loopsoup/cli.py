@@ -63,17 +63,20 @@ class RunConfig:
     out: str | None = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.seed, int) or self.seed < 0:
+        # exact types: JSON's true and false are no counts or tolerances
+        if type(self.seed) is not int or self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
-        if not isinstance(self.samples, int) or self.samples < 1:
+        if type(self.samples) is not int or self.samples < 1:
             raise ValueError("samples must be a positive integer")
-        if not isinstance(self.max_len, int) or self.max_len < 1:
+        if type(self.max_len) is not int or self.max_len < 1:
             raise ValueError("max_len must be a positive integer")
-        if not self.sigma_tolerance > 0:
+        if type(self.sigma_tolerance) not in (int, float) or not self.sigma_tolerance > 0:
             raise ValueError("sigma_tolerance must be positive")
-        if not 0 < self.p_value_floor < 1:
+        if type(self.p_value_floor) not in (int, float) or not 0 < self.p_value_floor < 1:
             raise ValueError("p_value_floor must lie in (0, 1)")
-        if not all(isinstance(p, str) for p in self.fixtures):
+        if not isinstance(self.fixtures, (list, tuple)) or not all(
+            isinstance(p, str) for p in self.fixtures
+        ):
             raise ValueError("fixtures must be a list of paths")
         object.__setattr__(self, "fixtures", tuple(self.fixtures))
         if self.out is not None and not isinstance(self.out, str):

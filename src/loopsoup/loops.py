@@ -21,12 +21,13 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
+import scipy.linalg
 
 from .errors import InvalidPath, TooLarge
 from .matrices import (
     WeightMatrix,
+    _lu_factor,
     det_laplacian,
-    greens_exact,
     require_acceptable,
     restrict,
 )
@@ -144,68 +145,79 @@ def local_times(loop: RootedLoop, n_sites: int) -> np.ndarray:
     return np.bincount(np.asarray(loop.sites), minlength=n_sites)
 
 
-def _loops_per_root(support: np.ndarray, max_len: int) -> tuple[list[np.ndarray], int]:
-    """Rooted loops of each length 1..max_len per root, and the loop budget.
+def _prefix_walk(support, max_len, start, extend):
+    """Depth-first walk over the supported paths x_0..x_d from every root.
 
-    Entry n-1 of the list counts the length-n loops at each root, the
-    diagonal of support^n.  Raises TooLarge, before any loop is built, when
-    more than the budget would be produced; counts saturate at budget + 1.
+    Yields (root, d, sites, carried) per chunk of at most 1024 paths of d
+    steps, ``sites`` being their x_d and ``carried`` a tuple of arrays with
+    one column per path: ``start(root)`` at d = 0, and then
+    ``extend(carried, parent, edge, sites)`` for the paths that take steps
+    ``edge`` (indices into ``np.nonzero(support)``) from columns ``parent``.
+    A path that cannot return to the root within max_len steps in all is
+    not extended, and pending chunks wait on a stack, so memory stays
+    O(max_len * n * 1024).  Raises TooLarge before the first chunk when
+    more than DEFAULT_BUDGET loops would be produced.
     """
     n_sites = len(support)
-    # the clamp keeps the running sums here and in loop_blocks within int64
+    # the clamp keeps the saturated path counts within int64
     budget = min(DEFAULT_BUDGET, 2**62 // n_sites**3)
-    steps = support.astype(np.int64, copy=False)
-    paths, per_root, total = np.eye(n_sites, dtype=np.int64), [], 0
-    for _ in range(max_len):
+    steps = support.astype(np.int64)
+    paths, total = np.eye(n_sites, dtype=np.int64), 0
+    # back[x, r]: fewest steps k >= 1 from x to r, max_len + 1 past max_len
+    back = np.full((n_sites, n_sites), max_len + 1)
+    for k in range(1, max_len + 1):
         paths = np.minimum(steps @ paths, budget + 1)
-        per_root.append(paths.diagonal().copy())
-        total += int(per_root[-1].sum())
+        back[(paths > 0) & (back > max_len)] = k
+        total += int(paths.trace())
         if total > budget:
             raise TooLarge(f"loop enumeration exceeded budget of {budget}")
-    return per_root, budget
+    last, nxt = np.nonzero(support)
+    # the steps leaving site x are bounds[x]:bounds[x + 1] of (last, nxt)
+    bounds = np.searchsorted(last, np.arange(n_sites + 1))
+    degree = np.diff(bounds)
+    for root in np.flatnonzero(back.diagonal() <= max_len):
+        steps_left = back[nxt, root]
+        stack = [(0, np.array([root]), start(root))]
+        while stack:
+            depth, sites, carried = stack.pop()
+            yield root, depth, sites, carried
+            if depth + 1 == max_len:
+                continue
+            # every step out of every path that can still close in time
+            counts = degree[sites]
+            ends = np.cumsum(counts)
+            parent = np.repeat(np.arange(len(sites)), counts)
+            edge = np.arange(ends[-1]) + np.repeat(bounds[sites] - ends + counts, counts)
+            keep = steps_left[edge] < max_len - depth
+            parent, edge = parent[keep], edge[keep]
+            sites = nxt[edge]
+            carried = extend(carried, parent, edge, sites)
+            for lo in reversed(range(0, len(edge), _BLOCK_ROWS)):
+                chunk = slice(lo, lo + _BLOCK_ROWS)
+                stack.append((depth + 1, sites[chunk], tuple(a[..., chunk] for a in carried)))
 
 
 def loop_blocks(q: WeightMatrix, max_len: int) -> Iterator[np.ndarray]:
     """All rooted loops of length <= max_len with nonzero steps, in blocks.
 
-    Yields (k, n) int arrays, one loop's sites per row and at most 1024 rows
-    each, length-major and lexicographically within each length.  Raises
-    TooLarge before building any block when more than DEFAULT_BUDGET loops
-    would be produced.  Past the support, it holds one root's tables.
+    Yields (k, n) int arrays of 1 <= k <= 1024 loops of one length n, one
+    loop's sites per row: the paths of one chunk of the prefix walk that
+    close.  Every loop comes once, in a fixed order that is root-major and
+    depth-first, not length-major.  Raises TooLarge before building any
+    block when more than DEFAULT_BUDGET loops would be produced.
     """
-    support = q.support().astype(np.int64)
-    per_root, budget = _loops_per_root(support, max_len)
-    last, nxt = np.nonzero(support)
-    # the steps leaving site x are bounds[x]:bounds[x + 1] of (last, nxt)
-    bounds = np.searchsorted(last, np.arange(q.n + 1))
-    for n in range(1, max_len + 1):
-        root_ends, pieces = np.cumsum(per_root[n - 1]), []
-        for root in np.flatnonzero(per_root[n - 1]):
-            # tables[m] runs over the steps last -> next in that order and sums
-            # the m-step completions from next back to root: after and before
-            # each step, and before each site's first step
-            back, tables = support[:, root], [None]
-            for _ in range(1, n):
-                run = np.concatenate(([0], np.cumsum(back[nxt])))
-                tables.append((run[1:], run[:-1], run[bounds[:-1]]))
-                back = np.minimum(np.diff(run[bounds]), budget + 1)
-            start = first = root_ends[root] - per_root[n - 1][root]
-            while start < root_ends[root]:
-                # unrank up to the next block boundary, site by site: the rank
-                # left after the completions of every smaller choice picks it
-                stop = min(start - start % _BLOCK_ROWS + _BLOCK_ROWS, root_ends[root])
-                rank = np.arange(start - first, stop - first)
-                sites = np.full((n, len(rank)), root, dtype=np.intp)
-                for d in range(1, n):
-                    ends, before, site_base = tables[n - d]
-                    target = site_base[sites[d - 1]] + rank
-                    pick = np.searchsorted(ends, target, side="right")
-                    sites[d], rank = nxt[pick], target - before[pick]
-                pieces.append(sites)
-                if stop % _BLOCK_ROWS == 0 or stop == root_ends[-1]:
-                    yield np.concatenate(pieces, axis=1).T.copy()
-                    pieces = []
-                start = stop
+    support = q.support()
+
+    def extend(carried, parent, edge, sites):
+        return (np.vstack((carried[0][:, parent], sites)),)
+
+    def start(root):
+        return (np.array([[root]]),)
+
+    for root, _, sites, (path,) in _prefix_walk(support, max_len, start, extend):
+        closes = support[sites, root]
+        if closes.any():
+            yield path.T[closes]
 
 
 def block_weights(
@@ -222,19 +234,6 @@ def block_weights(
     return q.entries[block, nxt].prod(axis=1)
 
 
-def _steps_back(support: np.ndarray, root: int, max_len: int) -> np.ndarray:
-    """Fewest steps (at least one) from each site back to ``root``.
-
-    Sites that need max_len steps or more, or never return, get max_len.
-    """
-    steps = np.full(len(support), max_len)
-    reach = support[:, root]
-    for k in range(1, max_len):
-        steps[reach & (steps == max_len)] = k
-        reach = support @ reach
-    return steps
-
-
 def loop_prefix_sums(
     q: WeightMatrix,
     max_len: int,
@@ -244,61 +243,43 @@ def loop_prefix_sums(
     """Per-length sums of Q(loop) and of Q(loop) * prod(factor[x]) over loops.
 
     Returns a (2, max_len) complex array whose entry [k, n-1] is a sum over
-    the rooted loops of length n: row 0 of Q(loop), row 1 of Q(loop) times
-    the product of ``factor`` over the loop's sites.  With ``reverse``, rows
-    2 and 3 do the same for the weight of the loop walked backwards.
+    the rooted loops of length n with nonzero steps: row 0 of Q(loop), row 1
+    of Q(loop) times the product of ``factor`` over the loop's sites.  With
+    ``reverse``, rows 2 and 3 do the same for the weight of the loop walked
+    backwards.
 
-    The loops are those of ``loop_blocks``, and each is summed literally,
-    once, as a leaf of a depth-first walk from every root.  A path x_0..x_d
-    carries its running products, one multiply per step, and the closing
-    entry Q(x_d, x_0) makes it the loop of length d + 1; loops with a common
-    prefix share its products.  A path that cannot return to the root within
-    the steps left is not extended.  Pending paths wait on a stack in chunks
-    of at most 1024 rows, so memory stays O(max_len * n * 1024).  Refuses
-    the budget of ``loop_blocks`` with TooLarge before any work.
+    Each loop is summed literally, once, as a leaf of the prefix walk from
+    every root.  A path x_0..x_d carries its running products, one multiply
+    per step, and the closing entry Q(x_d, x_0) makes it the loop of length
+    d + 1; loops with a common prefix share its products.  Refuses more than
+    DEFAULT_BUDGET loops with TooLarge before any work.
     """
     support = q.support()
-    per_root, _ = _loops_per_root(support, max_len)
     factor = np.asarray(factor, dtype=np.complex128)
-    last, nxt = np.nonzero(support)
-    # the steps leaving site x are bounds[x]:bounds[x + 1] of (last, nxt)
-    bounds = np.searchsorted(last, np.arange(q.n + 1))
-    degree = np.diff(bounds)
     # one row per running weight: forwards, and backwards with ``reverse``
-    walks = (q.entries, q.entries.T) if reverse else (q.entries,)
-    step = np.array([w[last, nxt] for w in walks])
-    step_factor = factor[nxt]
+    walks = np.array((q.entries, q.entries.T) if reverse else (q.entries,))
+    step = walks[:, support]
+    # a path closes into a loop only along a supported step back to its root
+    close = np.where(support, walks, 0.0)
     sums = np.zeros((2 * len(walks), max_len), dtype=np.complex128)
-    for root in np.flatnonzero(np.sum(per_root, axis=0)):
-        steps_left = _steps_back(support, root, max_len)[nxt]
-        # a path closes into a loop only along a supported step back to root
-        close = np.where(support[:, root], np.array([w[:, root] for w in walks]), 0.0)
-        stack = [(0, np.array([root]), np.ones((len(walks), 1)), factor[[root]])]
-        while stack:
-            depth, sites, weights, disc = stack.pop()
-            loops = weights * close[:, sites]
-            sums[::2, depth] += loops.sum(axis=1)
-            sums[1::2, depth] += loops @ disc
-            if depth + 1 == max_len:
-                continue
-            # every step out of every row that can still close in time
-            counts = degree[sites]
-            ends = np.cumsum(counts)
-            parent = np.repeat(np.arange(len(sites)), counts)
-            edge = np.arange(ends[-1]) + np.repeat(bounds[sites] - ends + counts, counts)
-            keep = steps_left[edge] < max_len - depth
-            parent, edge = parent[keep], edge[keep]
-            sites = nxt[edge]
-            weights = weights[:, parent] * step[:, edge]
-            disc = disc[parent] * step_factor[edge]
-            for lo in reversed(range(0, len(edge), _BLOCK_ROWS)):
-                chunk = slice(lo, lo + _BLOCK_ROWS)
-                stack.append((depth + 1, sites[chunk], weights[:, chunk], disc[chunk]))
+
+    def extend(carried, parent, edge, sites):
+        weights, disc = carried
+        return weights[:, parent] * step[:, edge], disc[parent] * factor[sites]
+
+    def start(root):
+        return np.ones((len(walks), 1)), factor[[root]]
+
+    for root, depth, sites, (weights, disc) in _prefix_walk(support, max_len, start, extend):
+        loops = weights * close[:, sites, root]
+        sums[::2, depth] += loops.sum(axis=1)
+        sums[1::2, depth] += loops @ disc
     return sums
 
 
 def enumerate_rooted_loops(q: WeightMatrix, max_len: int) -> Iterator[RootedLoop]:
-    """The loops of ``loop_blocks`` one at a time, in the same order."""
+    """The loops of ``loop_blocks`` one at a time, in the same order:
+    root-major and depth-first, each loop exactly once."""
     for block in loop_blocks(q, max_len):
         for sites in block.tolist():
             yield RootedLoop(tuple(sites))
@@ -383,15 +364,19 @@ def exp_meeting_mass_greens(q: WeightMatrix, sites: Sequence[str]) -> complex:
 
     Peel the listed sites one at a time: multiply G(x, x) computed on the
     not-yet-peeled state space.  Independent of the peeling order; with all
-    sites listed this is 1/det(I - Q).
+    sites listed this is 1/det(I - Q).  A principal block of an acceptable Q
+    is acceptable, rho(|Q_A|) <= rho(|Q|) by Perron-Frobenius, so Q is gated
+    once and each G(x, x) is one column solve of I - Q on the block.
     """
     require_acceptable(q)
     if len(set(sites)) != len(sites):
         raise InvalidPath("peeling order must not repeat sites")
-    remaining = list(q.space.labels)
+    remaining = np.arange(q.n)
     product = 1.0 + 0.0j
     for label in sites:
-        q.space.index(label)
-        product *= greens_exact(restrict(q, remaining)).diagonal(label)
-        remaining.remove(label)
+        at = remaining == q.space.index(label)
+        block = np.eye(len(remaining)) - q.entries[np.ix_(remaining, remaining)]
+        column = scipy.linalg.lu_solve(_lu_factor(block), at.astype(float), check_finite=False)
+        product *= column[at][0]
+        remaining = remaining[~at]
     return complex(product)

@@ -163,6 +163,8 @@ class WeightMatrix:
             rows = data["entries"]
         except (KeyError, TypeError) as exc:
             raise InvalidMatrix(f"malformed matrix document: {exc}") from exc
+        if not isinstance(labels, list) or not all(isinstance(lab, str) for lab in labels):
+            raise InvalidMatrix("labels must be a list of site names")
         try:
             entries = np.array(
                 [[complex(re, im) for re, im in row] for row in rows],

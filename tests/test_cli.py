@@ -76,6 +76,46 @@ class TestRunConfig:
         assert cfg.samples == 1234
 
 
+class TestBadDocuments:
+    """A malformed input document is an input error, exit code 2, never a
+    failed check (1) or a run (0)."""
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"sigma_tolerance": "5"},
+            {"p_value_floor": None},
+            {"seed": True},
+        ],
+        ids=["string-tolerance", "null-floor", "bool-seed"],
+    )
+    def test_bad_config_exits_2(self, tmp_path, capsys, doc):
+        cfg = write_json(tmp_path / "cfg.json", doc)
+        assert main(["verify", "--config", cfg]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_fixtures_string_is_not_split_into_paths(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "cfg.json", {"fixtures": "x.json"})
+        assert main(["verify", "--config", cfg]) == 2
+        assert "list of paths" in capsys.readouterr().err
+
+    @pytest.fixture(params=[5, [["x"], ["y"]]], ids=["number", "lists"])
+    def bad_labels(self, tmp_path, request):
+        doc = fx.two_state().to_json_dict()
+        doc["labels"] = request.param
+        return write_json(tmp_path / "labels.json", doc)
+
+    def test_matrix_labels_not_names_exit_2_in_sample(self, bad_labels, capsys):
+        argv = ["sample", "--what", "field", "--n", "2", "--matrix", bad_labels]
+        assert main(argv) == 2
+        assert "labels" in capsys.readouterr().err
+
+    def test_matrix_labels_not_names_exit_2_as_fixture(self, tmp_path, bad_labels, capsys):
+        cfg = write_json(tmp_path / "cfg.json", {"fixtures": [bad_labels]})
+        assert main(["verify", "--config", cfg]) == 2
+        assert "labels" in capsys.readouterr().err
+
+
 class TestCheckReport:
     def test_console_line_shows_comparator(self):
         rep = CheckReport(
@@ -153,6 +193,9 @@ class TestVerifyCommand:
         ):
             assert abs(by_name[name]["value"] - value) <= 1e-15
             assert abs(by_name[name]["bound"] - bound) <= 1e-15
+        # the largest error over the loops of loop_blocks, whatever their order
+        assert by_name["pushforward-per-loop"]["value"] == 1.828559098217032e-18
+        assert by_name["pushforward-per-loop"]["bound"] == 1e-10
 
     def test_extra_fixture_is_checked(self, tmp_path, capsys):
         mat = write_json(tmp_path / "sym.json", fx.two_state().to_json_dict())

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from loopsoup import loops as lp
 from loopsoup import matrices as mx
-from loopsoup.errors import InvalidPath, TooLarge
+from loopsoup.errors import InvalidPath, TooLarge, UnknownSite
 from loopsoup.fixtures import one_point, random_acceptable, two_state
 
 
@@ -68,17 +68,18 @@ class TestEnumeration:
     def test_support_pruning(self):
         loops = list(lp.enumerate_rooted_loops(two_state(), max_len=4))
         # no self-loops: only even lengths, two rotations each
-        assert [l.sites for l in loops] == [
+        assert sorted(l.sites for l in loops) == [
             (0, 1),
-            (1, 0),
             (0, 1, 0, 1),
+            (1, 0),
             (1, 0, 1, 0),
         ]
 
-    def test_length_major_lex_order(self):
-        q = mx.WeightMatrix.from_entries(("a", "b"), [[0.2, 0.2], [0.2, 0.2]])
-        seq = [l.sites for l in lp.enumerate_rooted_loops(q, max_len=3)]
-        assert seq == sorted(seq, key=lambda s: (len(s), s))
+    def test_order_repeats(self):
+        q = random_acceptable(3, 0.6, seed=37, complex_entries=True)
+        first, second = lp.loop_blocks(q, max_len=5), lp.loop_blocks(q, max_len=5)
+        for a, b in zip(first, second, strict=True):
+            np.testing.assert_array_equal(a, b)
 
     def test_budget_enforced(self):
         q = mx.WeightMatrix.from_entries(
@@ -90,7 +91,8 @@ class TestEnumeration:
 
 
 def _reference_loops(q, max_len):
-    """Depth-first enumeration, one prefix at a time: the order loop_blocks keeps."""
+    """Length-major enumeration, one prefix at a time, of the loops that
+    loop_blocks yields in its own order."""
     support = q.support()
     for n in range(1, max_len + 1):
         stack = [(x,) for x in reversed(range(q.n))]
@@ -151,7 +153,8 @@ class TestLoopBlocks:
         blocks = list(lp.loop_blocks(q, max_len))
         assert all(1 <= len(block) <= 1024 for block in blocks)
         rows = [tuple(row) for block in blocks for row in block.tolist()]
-        assert rows == list(_reference_loops(q, max_len))
+        assert len(set(rows)) == len(rows)
+        assert sorted(rows) == sorted(_reference_loops(q, max_len))
 
     def test_budget_refused_before_any_block(self):
         q = mx.WeightMatrix.from_entries(("a", "b", "c"), np.full((3, 3), 0.1))
@@ -388,6 +391,31 @@ class TestExpIdentities:
     def test_repeated_site_rejected(self):
         with pytest.raises(InvalidPath):
             lp.exp_meeting_mass_greens(two_state(), ["x", "x"])
+
+    def test_unknown_site_rejected(self):
+        with pytest.raises(UnknownSite):
+            lp.exp_meeting_mass_greens(two_state(), ["x", "nowhere"])
+
+    def test_peel_gates_once_and_inverts_nothing(self, monkeypatch):
+        # each G(x, x) is one column solve on the remaining block
+        q = random_acceptable(6, 0.7, seed=97, complex_entries=True)
+        calls = {"spectral_radius_abs": 0, "greens_exact": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(
+            mx, "spectral_radius_abs", counted("spectral_radius_abs", mx.spectral_radius_abs)
+        )
+        greens = counted("greens_exact", mx.greens_exact)
+        monkeypatch.setattr(mx, "greens_exact", greens)
+        monkeypatch.setattr(lp, "greens_exact", greens, raising=False)
+        full = lp.exp_meeting_mass_greens(q, ["s4", "s0", "s5", "s2", "s1", "s3"])
+        assert calls == {"spectral_radius_abs": 1, "greens_exact": 0}
+        assert full == pytest.approx(1.0 / mx.det_laplacian(q), rel=1e-12)
 
 
 class TestPerturbedMeasure:

@@ -260,9 +260,9 @@ def _verify_checks(config: RunConfig) -> list[CheckReport]:
         )
     )
 
-    # erased-walk closed formula against the literal walk sweep
+    # erased-walk closed formula against the literal walk sweep, tail ~1e-14 at 40 steps
     problem = fx.boundary_problems()["complex5"]
-    brute = lerw.lerw_weights_bruteforce(problem, "s0", max_steps=10)
+    brute = lerw.lerw_weights_bruteforce(problem, "s0", max_steps=40)
     worst = max(
         abs(lerw.lerw_weight_formula(problem, eta) - brute.weights.get(eta, 0.0))
         for eta in lerw.self_avoiding_paths(problem, "s0")
@@ -274,7 +274,7 @@ def _verify_checks(config: RunConfig) -> list[CheckReport]:
             worst,
             brute.tail_bound + 1e-13,
             fixture="complex5",
-            max_steps=10,
+            max_steps=brute.max_steps,
         )
     )
 

@@ -18,14 +18,14 @@ from typing import Hashable, Sequence
 
 import numpy as np
 
-from .errors import InvalidPath, NotAcceptable
+from .errors import InvalidPath, NotAcceptable, TooLarge
 from .matrices import (
     WeightMatrix,
     abs_resolvent_tail,
     acceptability,
     restrict,
 )
-from .loops import exp_meeting_mass_greens
+from .loops import DEFAULT_BUDGET, exp_meeting_mass_greens
 
 __all__ = [
     "loop_erase",
@@ -148,7 +148,16 @@ class BruteForceLerw:
 def lerw_weights_bruteforce(
     problem: BoundaryProblem, start: str, max_steps: int
 ) -> BruteForceLerw:
-    """Sweep all stopped walks of <= max_steps steps, keyed by erased path.
+    """Sum all stopped walks of <= max_steps steps, keyed by erased path.
+
+    Chronological erasure is Markov in the erased path, at whose last site
+    the walk stands: a step to y cuts the path back to y if y is on it and
+    appends y otherwise.  So the walks are summed one layer per step as
+    (erased path -> walk weight) states, each boundary exit adding its
+    state's weight to the path it completes; every stopped walk counts once.
+    The states of a layer are self-avoiding interior paths of fewer than
+    max_steps steps; more than DEFAULT_BUDGET in all layers are refused
+    with TooLarge before the first layer.
 
     The tail bound is the exact geometric remainder sum_{m > L} |Q_A|^{m-1} r
     evaluated at the start, where r(z) totals |Q(z, b)| over boundary b.
@@ -165,48 +174,39 @@ def lerw_weights_bruteforce(
 
     # exact tail: sum_{m > L} (M^{m-1} r)[start] = (M^L (I - M)^{-1} r)[start]
     m_abs = np.abs(problem.interior_weights.entries)
-    r = np.array(
-        [sum(abs(ent[z, b]) for b in bnd_idx) for z in int_idx]
-    )
+    r = np.array([sum(abs(ent[z, b]) for b in bnd_idx) for z in int_idx])
     tail = float(abs_resolvent_tail(m_abs, max_steps, r)[int_idx.index(start_idx)])
 
-    acc: dict[tuple[int, ...], complex] = defaultdict(complex)
-    kept = [start_idx]
-    position = {start_idx: 0}
     steps_to_boundary = [
-        [(b, ent[z, b]) for b in bnd_idx if ent[z, b] != 0] for z in range(len(ent))
+        [(b, complex(ent[z, b])) for b in bnd_idx if ent[z, b] != 0] for z in range(len(ent))
     ]
     steps_to_interior = [
-        [(y, ent[z, y]) for y in int_idx if ent[z, y] != 0] for z in range(len(ent))
+        [(y, complex(ent[z, y])) for y in int_idx if ent[z, y] != 0] for z in range(len(ent))
     ]
+    # count the paths that can be states, stopping once layers could pass budget
+    cap, paths, stack = DEFAULT_BUDGET // max_steps, 0, [(start_idx,)]
+    while stack and paths <= cap:
+        path = stack.pop()
+        paths += 1
+        if len(path) < max_steps:
+            stack.extend(path + (y,) for y, _ in steps_to_interior[path[-1]] if y not in path)
+    if paths > cap:
+        raise TooLarge(f"erased-walk sweep could need more than {DEFAULT_BUDGET} states")
 
-    def explore(z: int, used: int, weight: complex) -> None:
-        for b, w in steps_to_boundary[z]:
-            acc[tuple(kept) + (b,)] += weight * w
-        if used + 1 > max_steps - 1:
-            return
-        for y, w in steps_to_interior[z]:
-            if y in position:
-                cut = position[y] + 1
-                removed = kept[cut:]
-                del kept[cut:]
-                for site in removed:
-                    del position[site]
-                explore(y, used + 1, weight * w)
-                for site in removed:
-                    position[site] = len(kept)
-                    kept.append(site)
-            else:
-                position[y] = len(kept)
-                kept.append(y)
-                explore(y, used + 1, weight * w)
-                del position[kept.pop()]
-
-    explore(start_idx, 0, 1.0 + 0.0j)
+    acc: dict[tuple[int, ...], complex] = defaultdict(complex)
+    layer = {(start_idx,): 1.0 + 0.0j}
+    for used in range(1, max_steps + 1):
+        nxt: dict[tuple[int, ...], complex] = defaultdict(complex)
+        for path, weight in layer.items():
+            for b, w in steps_to_boundary[path[-1]]:
+                acc[path + (b,)] += weight * w
+            if used < max_steps:
+                for y, w in steps_to_interior[path[-1]]:
+                    state = path[: path.index(y) + 1] if y in path else path + (y,)
+                    nxt[state] += weight * w
+        layer = nxt
     labels = space.labels
-    weights = {
-        tuple(labels[i] for i in key): complex(val) for key, val in acc.items()
-    }
+    weights = {tuple(labels[i] for i in key): val for key, val in acc.items()}
     return BruteForceLerw(
         start=start, max_steps=max_steps, weights=weights, tail_bound=tail
     )
@@ -221,15 +221,10 @@ def self_avoiding_paths(problem: BoundaryProblem, start: str) -> list[tuple[str,
     if start not in problem.interior:
         raise InvalidPath(f"start {start!r} must be an interior site")
     out: list[tuple[str, ...]] = []
-
-    def grow(prefix: list[str]) -> None:
-        for b in problem.boundary:
-            out.append(tuple(prefix) + (b,))
-        for y in problem.interior:
-            if y not in prefix:
-                prefix.append(y)
-                grow(prefix)
-                prefix.pop()
-
-    grow([start])
+    # depth first, each prefix's exits before its extensions in interior order
+    stack = [(start,)]
+    while stack:
+        prefix = stack.pop()
+        out.extend(prefix + (b,) for b in problem.boundary)
+        stack.extend(prefix + (y,) for y in reversed(problem.interior) if y not in prefix)
     return out

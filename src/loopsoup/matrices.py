@@ -23,7 +23,6 @@ import scipy.linalg
 from .errors import (
     InvalidMatrix,
     NotAcceptable,
-    NumericalFailure,
     NumericallySingular,
     UnknownSite,
 )
@@ -321,35 +320,37 @@ def restrict(q: WeightMatrix, labels: Sequence[str]) -> WeightMatrix:
 def first_return_weight(
     q: WeightMatrix,
     site: str,
-    mode: str = "via_greens",
+    mode: str = "excursion",
     length: int | None = None,
 ) -> complex | tuple[complex, float]:
     """Total weight of loops at ``site`` with no intermediate visit to it.
 
-    ``via_greens`` evaluates 1 - 1/G(site, site).  ``brute_force`` sums the
-    weights of all such loops of length <= ``length`` (grouped through powers
-    of the matrix restricted to the complement) and returns the partial sum
-    together with the tail bound n * rho^(length+1) / (1 - rho), rho being
-    rho(|Q|); the two modes agree within that bound.  The bound holds for
-    every acceptable Q, normal or not: first-return loops of length k weigh
-    at most (|Q|^k)_ii <= tr(|Q|^k) <= n * rho^k in total.
+    ``excursion`` evaluates Q(x, x) + Q(x, A) (I - Q_A)^{-1} Q(A, x), A being
+    the other sites: one solve on the complement that never forms G, so
+    G(x, x) (1 - F(x)) = 1 relates two different solves.  ``brute_force`` sums
+    the weights of all such loops of length <= ``length`` (grouped through
+    powers of the matrix restricted to the complement) and returns the
+    partial sum together with the tail bound n * rho^(length+1) / (1 - rho),
+    rho being rho(|Q|); the two modes agree within that bound.  The bound
+    holds for every acceptable Q, normal or not: first-return loops of
+    length k weigh at most (|Q|^k)_ii <= tr(|Q|^k) <= n * rho^k in total.
     """
     rho = require_acceptable(q)
     i = q.space.index(site)
-    if mode == "via_greens":
-        g = greens_exact(q).entries[i, i]
-        if g == 0:
-            raise NumericalFailure("G(x,x) vanished; renewal identity undefined")
-        return complex(1.0 - 1.0 / g)
-    if mode != "brute_force":
-        raise ValueError(f"unknown mode {mode!r}")
-    if length is None or length < 1:
-        raise ValueError("brute_force mode needs a length cap >= 1")
     others = [j for j in range(q.n) if j != i]
     sub = q.entries[np.ix_(others, others)]
     row = q.entries[i, others]
     col = q.entries[others, i]
     total = complex(q.entries[i, i])
+    if mode == "excursion":
+        if others:  # I - Q_A is invertible: Q_A is acceptable with Q
+            lu_piv = _lu_factor(np.eye(len(others)) - sub)
+            total += complex(row @ scipy.linalg.lu_solve(lu_piv, col, check_finite=False))
+        return total
+    if mode != "brute_force":
+        raise ValueError(f"unknown mode {mode!r}")
+    if length is None or length < 1:
+        raise ValueError("brute_force mode needs a length cap >= 1")
     power = np.eye(len(others), dtype=np.complex128)
     for _ in range(2, length + 1):
         total += row @ power @ col

@@ -20,8 +20,26 @@ from loopsoup.fixtures import (
     random_symmetric_positive,
     two_state,
 )
+from loopsoup.loops import block_weights, loop_blocks
 from loopsoup.matrices import WeightMatrix, greens_exact, lu_det
 from loopsoup.rng import substream
+
+
+def per_loop_pushforward(q, max_len):
+    """Oracle: the pushforward error summed over one loop's lifts at a time."""
+    doubled = gff.double_weights(q).entries.real
+    worst = 0.0
+    for block in loop_blocks(q, max_len):
+        n = block.shape[1]
+        lifts = (np.arange(2**n)[:, None] >> np.arange(n)) & 1
+        expect = (block_weights(q, block) + block_weights(q, block, reverse=True)) / n
+        for sites, want in zip(block, expect):
+            idx = sites[None, :] + lifts * q.n
+            w = np.ones(2**n)
+            for j in range(n):
+                w *= doubled[idx[:, j], idx[:, (j + 1) % n]]
+            worst = max(worst, abs(w.sum() / n - want))
+    return worst
 
 
 class TestGFFModel:
@@ -200,6 +218,16 @@ class TestPushforward:
 
     def test_per_loop_identity_fixture(self):
         assert gff.pushforward_loop_check(hermitian_pair(), max_len=8) < 1e-12
+
+    @pytest.mark.parametrize(
+        "n, max_len, seed",
+        [(2, 8, 421), (2, 7, 422), (3, 6, 423), (3, 5, 424), (4, 4, 425), (4, 5, 426)],
+    )
+    def test_block_lift_sums_match_per_loop_sums(self, n, max_len, seed):
+        # each loop's lifts are multiplied and summed in the same order, so
+        # the whole-block arrays give the per-loop result bit for bit
+        q = random_hermitian(n, 0.6, seed=seed)
+        assert gff.pushforward_loop_check(q, max_len) == per_loop_pushforward(q, max_len)
 
     def test_transform_identity(self):
         for q in (hermitian_pair(), random_hermitian(3, 0.55, seed=420)):

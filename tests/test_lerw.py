@@ -1,14 +1,87 @@
 """Chronological erasure and the two loop-erased walk computations."""
 
+import time
+from collections import defaultdict
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loopsoup import lerw
-from loopsoup.errors import InvalidPath, NotAcceptable
+from loopsoup.errors import InvalidPath, NotAcceptable, TooLarge
 from loopsoup.fixtures import boundary_problems, one_point
-from loopsoup.matrices import WeightMatrix, acceptability, greens_exact
+from loopsoup.matrices import (
+    WeightMatrix,
+    acceptability,
+    greens_exact,
+    spectral_radius_abs,
+)
+from loopsoup.rng import substream
+
+
+def recursive_bruteforce(problem, start, max_steps):
+    """Oracle: one recursive call per stopped walk, erasing as it goes.
+
+    Returns the walk weight summed per erased path and, per erased path,
+    the summed modulus of its walks' weights.
+    """
+    space = problem.weights.space
+    ent = problem.weights.entries
+    int_idx = space.indices(problem.interior)
+    bnd_idx = space.indices(problem.boundary)
+    acc = defaultdict(complex)
+    mass = defaultdict(float)
+    kept = [space.index(start)]
+    position = {kept[0]: 0}
+
+    def explore(z, used, weight):
+        for b in bnd_idx:
+            if ent[z, b] != 0:
+                acc[tuple(kept) + (b,)] += weight * ent[z, b]
+                mass[tuple(kept) + (b,)] += abs(weight * ent[z, b])
+        if used + 1 > max_steps - 1:
+            return
+        for y in int_idx:
+            if ent[z, y] == 0:
+                continue
+            if y in position:
+                cut = position[y] + 1
+                removed = kept[cut:]
+                del kept[cut:]
+                for site in removed:
+                    del position[site]
+                explore(y, used + 1, weight * ent[z, y])
+                for site in removed:
+                    position[site] = len(kept)
+                    kept.append(site)
+            else:
+                position[y] = len(kept)
+                kept.append(y)
+                explore(y, used + 1, weight * ent[z, y])
+                del position[kept.pop()]
+
+    explore(kept[0], 0, 1.0 + 0.0j)
+    labels = space.labels
+    return tuple(
+        {tuple(labels[i] for i in key): val for key, val in sums.items()}
+        for sums in (acc, mass)
+    )
+
+
+def random_boundary_problem(n_int, n_bnd, zeros, rho, seed):
+    """Complex weights with a share ``zeros`` of absent steps and the
+    interior block rescaled to rho(|Q_A|) = rho."""
+    rng = substream(seed)
+    n = n_int + n_bnd
+    mat = rng.uniform(-1.0, 1.0, (n, n)) + 1j * rng.uniform(-1.0, 1.0, (n, n))
+    mat[rng.uniform(size=(n, n)) < zeros] = 0.0
+    radius = spectral_radius_abs(mat[:n_int, :n_int])
+    if radius > 0:
+        mat[:n_int, :n_int] *= rho / radius
+    labels = [f"a{i}" for i in range(n_int)] + [f"b{i}" for i in range(n_bnd)]
+    q = WeightMatrix.from_entries(labels, mat)
+    return lerw.BoundaryProblem(q, tuple(labels[:n_int]), tuple(labels[n_int:]))
 
 
 class TestLoopErase:
@@ -137,6 +210,40 @@ class TestBruteForceAgreement:
         problem = boundary_problems()["srw_path5"]
         with pytest.raises(InvalidPath):
             lerw.lerw_weights_bruteforce(problem, "v0", max_steps=5)
+
+    @given(
+        n_int=st.integers(min_value=1, max_value=5),
+        n_bnd=st.integers(min_value=1, max_value=3),
+        zeros=st.floats(min_value=0.0, max_value=0.6),
+        rho=st.floats(min_value=0.05, max_value=0.95),
+        max_steps=st.integers(min_value=1, max_value=8),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_state_sweep_matches_walk_recursion(
+        self, n_int, n_bnd, zeros, rho, max_steps, seed
+    ):
+        problem = random_boundary_problem(n_int, n_bnd, zeros, rho, seed)
+        brute = lerw.lerw_weights_bruteforce(problem, "a0", max_steps)
+        want, mass = recursive_bruteforce(problem, "a0", max_steps)
+        # the same walks, summed in another order
+        assert set(brute.weights) == set(want)
+        for eta, value in want.items():
+            assert abs(brute.weights[eta] - value) <= 1e-12 * mass[eta]
+
+    def test_state_budget_refuses_before_the_sweep(self):
+        # 12 dense interior sites have about e * 11! self-avoiding paths
+        # from the start, so 40 layers could hold far more states than
+        # the budget; the count stops at the budget instead
+        labels = [f"a{i}" for i in range(12)] + ["b"]
+        q = WeightMatrix.from_entries(labels, np.full((13, 13), 0.05))
+        problem = lerw.BoundaryProblem(q, tuple(labels[:12]), ("b",))
+        started = time.perf_counter()
+        with pytest.raises(TooLarge):
+            lerw.lerw_weights_bruteforce(problem, "a0", max_steps=40)
+        assert time.perf_counter() - started < 5.0
+        # few layers fit the same problem within budget
+        assert lerw.lerw_weights_bruteforce(problem, "a0", max_steps=2).weights
 
 
 class TestSelfAvoidingPaths:

@@ -270,10 +270,13 @@ class TestFirstReturn:
         assert mx.first_return_weight(two_state(), "x") == pytest.approx(0.25)
 
     def test_renewal_identity(self):
+        # the complement solve against the renewal oracle 1 - 1/G(x, x),
+        # which reads G from a solve on the whole space
         q = random_acceptable(4, 0.7, seed=5, complex_entries=True)
         g = mx.greens_exact(q)
         for label in q.space.labels:
             f = mx.first_return_weight(q, label)
+            assert f == pytest.approx(1 - 1 / g.diagonal(label), rel=1e-10)
             assert g.diagonal(label) * (1 - f) == pytest.approx(1.0, rel=1e-10)
 
     def test_brute_force_agrees(self):

@@ -27,6 +27,7 @@ from .errors import InvalidPath, TooLarge
 from .matrices import (
     WeightMatrix,
     _lu_factor,
+    abs_resolvent_tail,
     det_laplacian,
     require_acceptable,
     restrict,
@@ -304,22 +305,21 @@ class TruncatedMass:
     length: int
 
 
-def mass_tail(n_sites: int, rho: float, max_len: int) -> float:
+def mass_tail(entries: np.ndarray, max_len: int) -> float:
     """Bound on the mass of rooted loops longer than ``max_len``.
 
-    |tr(Q^n)| <= n_sites * rho^n with rho = rho(|Q|), so the discarded
-    sum_{n > L} tr(Q^n) / n is at most n_sites rho^(L+1) / ((L+1)(1-rho)).
+    |tr(Q^n)| <= tr(M^n) for M = |Q|, so for acceptable Q the discarded sum
+    sum_{n > L} tr(Q^n) / n is at most tr(M^(L+1) (I - M)^{-1}) / (L+1).
     """
-    if rho <= 0.0:
-        return 0.0
-    return n_sites * rho ** (max_len + 1) / ((max_len + 1) * (1.0 - rho))
+    remainder = abs_resolvent_tail(np.abs(entries), max_len + 1, np.eye(len(entries)))
+    return float(np.trace(remainder)) / (max_len + 1)
 
 
 def loop_mass_truncated(q: WeightMatrix, max_len: int) -> TruncatedMass:
     """Mass of all rooted loops up to max_len, with tail bound."""
-    rho = require_acceptable(q)
+    require_acceptable(q)
     value = complex(loop_mass_per_length(q, max_len).sum())
-    return TruncatedMass(value, mass_tail(q.n, rho, max_len), max_len)
+    return TruncatedMass(value, mass_tail(q.entries, max_len), max_len)
 
 
 def meeting_mass_truncated(
@@ -329,28 +329,35 @@ def meeting_mass_truncated(
 
     Computed per length as [tr(Q^n) - tr(Q_rest^n)] / n where Q_rest drops
     the rows and columns of ``sites``; the subtracted term is exactly the
-    mass of loops avoiding them all.
+    mass of loops avoiding them all.  So is the tail: mass_tail of Q less
+    that of Q_rest, as tr(|Q|^n) - tr(|Q_rest|^n) >= 0 for every n.
     """
-    rho = require_acceptable(q)
+    require_acceptable(q)
     hit = set(sites)
     if not hit:
         return TruncatedMass(0.0 + 0.0j, 0.0, max_len)
     for label in hit:
         q.space.index(label)
-    rest = [lab for lab in q.space.labels if lab not in hit]
     total = loop_mass_per_length(q, max_len)
-    if rest:
-        total = total - loop_mass_per_length(restrict(q, rest), max_len)
-    return TruncatedMass(complex(total.sum()), mass_tail(q.n, rho, max_len), max_len)
+    tail = mass_tail(q.entries, max_len)
+    if len(hit) < q.n:
+        rest = restrict(q, [lab for lab in q.space.labels if lab not in hit])
+        total = total - loop_mass_per_length(rest, max_len)
+        tail = max(tail - mass_tail(rest.entries, max_len), 0.0)
+    return TruncatedMass(complex(total.sum()), tail, max_len)
 
 
 def exp_truncated(mass: TruncatedMass) -> tuple[complex, float]:
     """exp of a truncated mass and a bound on |exp(true) - exp(partial)|.
 
-    |e^S - e^{S_L}| <= |e^{S_L}| (e^tau - 1) when |S - S_L| <= tau.
+    |e^S - e^{S_L}| <= |e^{S_L}| (e^tau - 1) when |S - S_L| <= tau.  The
+    bound is infinite when e^tau overflows: it then certifies nothing.
     """
     value = np.exp(mass.value)
-    return complex(value), abs(value) * math.expm1(mass.tail_bound)
+    try:
+        return complex(value), abs(value) * math.expm1(mass.tail_bound)
+    except OverflowError:
+        return complex(value), math.inf
 
 
 def exp_loop_mass_det(q: WeightMatrix) -> complex:

@@ -330,12 +330,11 @@ def first_return_weight(
     G(x, x) (1 - F(x)) = 1 relates two different solves.  ``brute_force`` sums
     the weights of all such loops of length <= ``length`` (grouped through
     powers of the matrix restricted to the complement) and returns the
-    partial sum together with the tail bound n * rho^(length+1) / (1 - rho),
-    rho being rho(|Q|); the two modes agree within that bound.  The bound
-    holds for every acceptable Q, normal or not: first-return loops of
-    length k weigh at most (|Q|^k)_ii <= tr(|Q|^k) <= n * rho^k in total.
+    partial sum with the tail bound (|Q|^(length+1) (I - |Q|)^{-1})_xx, the
+    sum over k > length of (|Q|^k)_xx, which bounds the first-return loops of
+    length k in modulus; the modes agree within it for any acceptable Q.
     """
-    rho = require_acceptable(q)
+    require_acceptable(q)
     i = q.space.index(site)
     others = [j for j in range(q.n) if j != i]
     sub = q.entries[np.ix_(others, others)]
@@ -355,8 +354,8 @@ def first_return_weight(
     for _ in range(2, length + 1):
         total += row @ power @ col
         power = power @ sub
-    tail = q.n * rho ** (length + 1) / (1.0 - rho) if rho > 0 else 0.0
-    return total, tail
+    tail = abs_resolvent_tail(np.abs(q.entries), length + 1, np.eye(q.n)[:, i])
+    return total, float(tail[i])
 
 
 def perturb(q: WeightMatrix, f: Sequence[complex]) -> WeightMatrix:

@@ -37,7 +37,8 @@ from .errors import (
     NumericallySingular,
     TooLarge,
 )
-from .loops import RootedLoop, loop_prefix_sums, mass_tail
+from .loops import RootedLoop, TruncatedMass, exp_truncated, loop_prefix_sums
+from .loops import loop_mass_per_length, mass_tail
 from .matrices import (
     WeightMatrix,
     det_laplacian,
@@ -143,9 +144,10 @@ class SoupSampler:
 
     Tables (powers of Q, cumulative length weights, per-length root laws)
     are grown on demand and shared across samples.  The length law's series
-    is extended until the drawn uniform is covered; a certified envelope on
-    the remaining mass, n rho^(L+1) / ((L+1)(1-rho)), clamps the rare draw
-    that lands inside floating-point slack at the far tail.
+    is extended until the drawn uniform is covered; the certified bound
+    ``loops.mass_tail`` on the remaining mass clamps the rare draw that lands
+    inside floating-point slack at the far tail.  A Q with no cycle in its
+    support has no loop mass: its tables stay empty and every soup is empty.
 
     A bridge step from ``current`` that leaves ``m`` steps to get back to
     ``root`` picks the next site x with weight Q[current, x] (Q^m)[x, root].
@@ -162,22 +164,20 @@ class SoupSampler:
             raise NotPositive("soup sampling needs entrywise nonnegative weights")
         if intensity <= 0:
             raise ValueError("intensity must be positive")
-        self.rho = require_acceptable(q)
+        require_acceptable(q)
         self.intensity = float(intensity)
-        # total rooted loop mass, -log det(I - Q) on the principal branch
-        self.total_mass = float((-np.log(det_laplacian(q))).real)
+        # total rooted loop mass, -log det(I - Q) on the principal branch;
+        # rounding may leave a loop-free Q a hair below zero
+        self.total_mass = max(0.0, float((-np.log(det_laplacian(q))).real))
         self.entries = q.entries.real.copy()
         self.n_sites = q.n
         # powers[k] = Q^k; powers grow as longer loops get drawn
-        self._powers: list[np.ndarray] = [np.eye(self.n_sites), self.entries]
-        self._length_cum: list[float] = [
-            float(np.trace(self.entries)) / self.total_mass
-        ]
-        self._root_cum: list[list[float]] = [
-            (
-                np.cumsum(np.diag(self.entries)) / max(np.trace(self.entries), 1e-300)
-            ).tolist()
-        ]
+        self._powers: list[np.ndarray] = [np.eye(self.n_sites)]
+        # entry n-1: the length law's cumulative weight and root law at length n
+        self._length_cum: list[float] = []
+        self._root_cum: list[list[float]] = []
+        if self.total_mass > 0.0:
+            self._extend_tables()
         # _bridge[root][m * n_sites + current]: one bridge step's running
         # sums, then their total
         self._bridge: list[dict[int, array]] = [{} for _ in range(self.n_sites)]
@@ -190,11 +190,12 @@ class SoupSampler:
         n = len(self._powers) - 1
         diag = np.diag(nxt)
         trace = float(diag.sum())
-        self._length_cum.append(self._length_cum[-1] + trace / (n * self.total_mass))
+        below = self._length_cum[-1] if self._length_cum else 0.0
+        self._length_cum.append(below + trace / (n * self.total_mass))
         self._root_cum.append((np.cumsum(diag) / max(trace, 1e-300)).tolist())
 
     def _tail_after(self, length: int) -> float:
-        return mass_tail(self.n_sites, self.rho, length) / self.total_mass
+        return mass_tail(self.entries, length) / self.total_mass
 
     def _draw_length(self, u: float) -> int:
         while u > self._length_cum[-1]:
@@ -380,17 +381,10 @@ def variation_bound_alpha(
     exactly one.  This is the total variation of the complex soup "law"
     relative to the probability soup of the absolute weights.
     """
-    rho = require_acceptable(q)
-    abs_part = np.abs(q.entries)
-    power_abs = np.eye(q.n)
-    power = np.eye(q.n, dtype=np.complex128)
-    exponent = 0.0
-    for n in range(1, max_len + 1):
-        power_abs = power_abs @ abs_part
-        power = power @ q.entries
-        exponent += (float(np.trace(power_abs)) - float(np.trace(power).real)) / n
-    tail = 2.0 * mass_tail(q.n, rho, max_len)
-    return math.exp(intensity * exponent), intensity * tail
+    require_acceptable(q)
+    abs_mass = loop_mass_per_length(WeightMatrix(q.space, np.abs(q.entries)), max_len)
+    exponent = float((abs_mass - loop_mass_per_length(q, max_len)).real.sum())
+    return math.exp(intensity * exponent), 2.0 * intensity * mass_tail(q.entries, max_len)
 
 
 @dataclass(frozen=True)
@@ -421,19 +415,20 @@ def _loop_sum_check(
     is a leaf of the prefix walk of ``loop_prefix_sums``, so S stays a
     literal loop sum.
     """
-    rho = require_acceptable(q)
+    require_acceptable(q)
     vec = np.asarray(f, dtype=np.complex128)
     closed = nu_transform_closed(q, vec, 2 * intensity if reversal else intensity)
     sums = loop_prefix_sums(q, max_len, 1.0 / (1.0 + vec), reverse=reversal)
     # discounted minus plain weights, per length, over the loop lengths
     per_length = (sums[1::2] - sums[::2]).sum(axis=0)
     exponent = np.sum(per_length / np.arange(1, max_len + 1))
-    summed = complex(np.exp(intensity * exponent))
     # the loops past max_len of m and of m_f weigh at most mass_tail each;
     # the reversed copies double that, and the plain check keeps the factor
-    rho_f = require_acceptable(perturb(q, vec))
-    tail = 2.0 * mass_tail(q.n, rho, max_len) + 2.0 * mass_tail(q.n, rho_f, max_len)
-    slack = abs(summed) * math.expm1(abs(intensity) * tail)
+    q_f = perturb(q, vec)
+    require_acceptable(q_f)
+    tail = 2.0 * mass_tail(q.entries, max_len) + 2.0 * mass_tail(q_f.entries, max_len)
+    mass = TruncatedMass(complex(intensity * exponent), abs(intensity) * tail, max_len)
+    summed, slack = exp_truncated(mass)
     return LoopSumCheck(closed=closed, summed=summed, slack=slack)
 
 

@@ -277,6 +277,23 @@ class TestOccupation:
         with pytest.raises(InvalidShape, match="negative visit count"):
             sp.continuous_occupation(np.array(counts), trivial, substream(3))
 
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            [[0.0, 0.0], [0.0, 0.0]],
+            [[0.0, 0.5], [0.0, 0.0]],
+            # pivoting rounds -log det(I - Q) to -2.2e-16 here
+            [[0.0, 0.0, 0.0], [1.1489244622311157, 0.0, 0.0], [0.7, 0.4251020510255128, 0.0]],
+        ],
+    )
+    def test_loop_free_matrix_gives_trivial_fields(self, entries):
+        # no cycle in the support: zero loop mass, so only the trivial part
+        q = WeightMatrix.from_entries([f"s{i}" for i in range(len(entries))], entries)
+        assert sp.SoupSampler(q, 1.0).total_mass == 0.0
+        np.testing.assert_array_equal(sp.sample_occupation_fields(q, 1.0, 4, seed=3), 0.0)
+        fields = sp.sample_occupation_fields(q, 1.0, 4, seed=3, trivial=True)
+        assert np.all(fields > 0.0)
+
     def test_batch_shape_and_determinism(self):
         q = two_state()
         a = sp.sample_occupation_fields(q, 1.0, 50, seed=42)

@@ -4,16 +4,21 @@ Three families that the fixtures do not cover: upper-triangular |Q| far
 from normal (off-diagonal entries up to 100, diagonals sometimes tied),
 reducible block-diagonal supports and periodic supports (a scaled cyclic
 permutation).  The last two and the tied diagonals send the acceptability
-gate to its eigenvalue fallback, so examples are few and unhurried.
+gate to its eigenvalue fallback, so examples are few and unhurried.  On
+the suite's fixed fixtures, each exact |Q| remainder is also checked
+against the rho(|Q|) envelope n rho^(L+1) / (1 - rho) that it replaced.
 """
 
 import numpy as np
+import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from loopsoup import fixtures as fx
 from loopsoup import loops as lp
 from loopsoup import matrices as mx
+from loopsoup import soup as sp
 
 RADII = st.floats(0.05, 0.95)
 
@@ -86,3 +91,61 @@ def test_loop_mass_error_within_tail(a, max_len):
     assert sign > 0
     err = abs(mass.value + logdet)
     assert err <= mass.tail_bound + _rounding(mx.greens_exact(q).entries)
+
+
+@settings(max_examples=45, deadline=None)
+@given(ADVERSARIAL, st.integers(1, 60), st.data())
+def test_meeting_mass_error_within_tail(a, max_len, data):
+    q = _weights(a)
+    n = len(a)
+    sites = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+    labels = [f"s{i}" for i in sites]
+    mass = lp.meeting_mass_truncated(q, labels, max_len)
+    # the mass of loops meeting ``sites`` is log det(I - Q_rest) - log det(I - Q)
+    rest = [i for i in range(n) if i not in sites]
+    sign, logdet = np.linalg.slogdet(np.eye(n) - a)
+    sign_rest, logdet_rest = np.linalg.slogdet(np.eye(len(rest)) - a[np.ix_(rest, rest)])
+    assert sign > 0 and sign_rest > 0
+    err = abs(mass.value - (logdet_rest - logdet))
+    assert err <= mass.tail_bound + _rounding(mx.greens_exact(q).entries)
+
+
+@settings(max_examples=45, deadline=None)
+@given(ADVERSARIAL, st.integers(1, 60), st.data())
+def test_first_return_error_within_tail(a, length, data):
+    q = _weights(a)
+    site = f"s{data.draw(st.integers(0, len(a) - 1))}"
+    exact = mx.first_return_weight(q, site)
+    partial, tail = mx.first_return_weight(q, site, mode="brute_force", length=length)
+    assert abs(partial - exact) <= tail + _rounding(mx.greens_exact(q).entries)
+
+
+FIXED = {
+    "two-state": fx.two_state(),
+    "cpx4": fx.random_acceptable(4, 0.6, seed=904, complex_entries=True),
+    "cpx3": fx.random_acceptable(3, 0.5, seed=301, complex_entries=True),
+    "herm2": fx.hermitian_pair(),
+    "herm3": fx.random_hermitian(3, 0.55, seed=411),
+}
+
+
+def _envelope(q: mx.WeightMatrix, length: int) -> float:
+    # sum_{k > length} n rho^k, rho = rho(|Q|) from its eigenvalues: the
+    # bound every trace and first-return tail had before the exact remainder
+    rho = mx.spectral_radius_abs(q)
+    return q.n * rho ** (length + 1) / (1.0 - rho)
+
+
+@pytest.mark.parametrize("name", sorted(FIXED))
+@pytest.mark.parametrize("length", [1, 10, 14, 60])
+def test_exact_tails_within_envelopes(name, length):
+    q = FIXED[name]
+    envelope = _envelope(q, length) * (1 + 1e-12)
+    half = list(q.space.labels[: max(1, q.n // 2)])
+    assert lp.loop_mass_truncated(q, length).tail_bound <= envelope / (length + 1)
+    assert lp.meeting_mass_truncated(q, half, length).tail_bound <= envelope / (length + 1)
+    for site in q.space.labels:
+        _, tail = mx.first_return_weight(q, site, mode="brute_force", length=length)
+        assert tail <= envelope
+    _, slack = sp.variation_bound_alpha(q, 0.7, length)
+    assert slack <= 0.7 * 2 * envelope / (length + 1)

@@ -71,8 +71,8 @@ class RunConfig:
             raise ValueError("samples must be a positive integer")
         if type(self.max_len) is not int or self.max_len < 1:
             raise ValueError("max_len must be a positive integer")
-        if type(self.sigma_tolerance) not in (int, float) or not self.sigma_tolerance > 0:
-            raise ValueError("sigma_tolerance must be positive")
+        if type(self.sigma_tolerance) not in (int, float) or not 0 < self.sigma_tolerance < math.inf:
+            raise ValueError("sigma_tolerance must be positive and finite")
         if type(self.p_value_floor) not in (int, float) or not 0 < self.p_value_floor < 1:
             raise ValueError("p_value_floor must lie in (0, 1)")
         if not isinstance(self.fixtures, (list, tuple)) or not all(
@@ -120,7 +120,12 @@ class CheckReport:
     outcome: str
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        # strict JSON has no Infinity or NaN: a non-finite number is null
+        doc = asdict(self)
+        for key in ("value", "bound"):
+            if not math.isfinite(doc[key]):
+                doc[key] = None
+        return doc
 
     def console_line(self) -> str:
         op = "<=" if self.comparator == "le" else ">"
@@ -700,10 +705,10 @@ def _emit(reports: list[CheckReport], config: RunConfig, command: str, out: str 
         # JSON lines: a header, then one line appended per check
         with open(out, "w", encoding="utf-8") as fh:
             header = {"command": command, "config": config.to_json_dict()}
-            fh.write(json.dumps(header, sort_keys=True))
+            fh.write(json.dumps(header, sort_keys=True, allow_nan=False))
             fh.write("\n")
             for rep in reports:
-                fh.write(json.dumps(rep.to_json_dict(), sort_keys=True))
+                fh.write(json.dumps(rep.to_json_dict(), sort_keys=True, allow_nan=False))
                 fh.write("\n")
     failed = sum(r.outcome == "fail" for r in reports)
     inconclusive = sum(r.outcome == "inconclusive" for r in reports)

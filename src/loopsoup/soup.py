@@ -157,13 +157,20 @@ class SoupSampler:
     growing at 2^19 floats (4 MB, plus about 120 bytes per row); a row past
     that is rebuilt whenever it is used, with the same values.  Either way
     each step draws one ``rng.random()``, as the uncached walk did.
+
+    ``occupation(rng, trivial_shape)`` draws one soup's visit counts and
+    continuous field without building its loops.  It consumes the stream
+    exactly as ``sample`` followed by ``discrete_occupation`` and
+    ``continuous_occupation`` does: the Poisson count, each loop's bridge
+    walk, then one gamma per site in site order.  So both give the same
+    values, bit for bit, and leave the stream at the same place.
     """
 
     def __init__(self, q: WeightMatrix, intensity: float) -> None:
         if not q.positive:
             raise NotPositive("soup sampling needs entrywise nonnegative weights")
-        if intensity <= 0:
-            raise ValueError("intensity must be positive")
+        if not 0 < intensity < math.inf:
+            raise ValueError(f"intensity must be positive and finite, got {intensity}")
         require_acceptable(q)
         self.intensity = float(intensity)
         # total rooted loop mass, -log det(I - Q) on the principal branch;
@@ -204,7 +211,7 @@ class SoupSampler:
             self._extend_tables()
         return bisect.bisect_left(self._length_cum, u) + 1
 
-    def sample_loop(self, rng: np.random.Generator) -> RootedLoop:
+    def _sites(self, rng: np.random.Generator) -> list[int]:
         n = self._draw_length(float(rng.random()))
         while len(self._powers) <= n:
             self._extend_tables()
@@ -225,12 +232,32 @@ class SoupSampler:
                     self._bridge_rows += 1
             current = min(bisect.bisect_left(row, random() * row[-1], 0, width), last)
             sites.append(current)
-        return RootedLoop(tuple(sites))
+        return sites
+
+    def sample_loop(self, rng: np.random.Generator) -> RootedLoop:
+        return RootedLoop(tuple(self._sites(rng)))
 
     def sample(self, rng: np.random.Generator) -> LoopSoup:
         count = int(rng.poisson(self.intensity * self.total_mass))
         loops = tuple(self.sample_loop(rng) for _ in range(count))
         return LoopSoup(intensity=self.intensity, loops=loops)
+
+    def occupation(
+        self, rng: np.random.Generator, trivial_shape: float
+    ) -> tuple[list[int], list[float]]:
+        """One soup's visit counts and continuous field, as lists per site."""
+        _require_shape(trivial_shape)
+        counts = [0] * self.n_sites
+        for _ in range(int(rng.poisson(self.intensity * self.total_mass))):
+            for site in self._sites(rng):
+                counts[site] += 1
+        gamma = rng.gamma
+        return counts, [gamma(c + trivial_shape) for c in counts]
+
+
+def _require_shape(trivial_shape: float) -> None:
+    if not 0 <= trivial_shape < math.inf:
+        raise InvalidShape(f"trivial shape must be finite and >= 0, got {trivial_shape}")
 
 
 def discrete_occupation(soup: LoopSoup, n_sites: int) -> np.ndarray:
@@ -258,11 +285,12 @@ def continuous_occupation(
     included: the same values as one ``rng.gamma(shapes)`` array call, bit
     for bit, without that call's fixed cost on a short array.
     """
-    if trivial_shape < 0:
-        raise InvalidShape("trivial part needs a nonnegative shape")
+    _require_shape(trivial_shape)
     visits = np.asarray(counts, dtype=np.float64).tolist()
-    if any(c < 0 for c in visits):
-        raise InvalidShape("negative visit count")
+    if not all(c >= 0 and c.is_integer() for c in visits):  # False at nan, inf
+        if any(c < 0 for c in visits):
+            raise InvalidShape("negative visit count")
+        raise InvalidShape("visit counts must be finite whole numbers")
     gamma = rng.gamma
     return np.array([gamma(c + trivial_shape) for c in visits], dtype=np.float64)
 
@@ -281,16 +309,15 @@ def sample_occupation_fields(
     Row i is drawn from substream(seed, start_index + i), so any slice of
     samples can be reproduced independently of the rest.
     """
+    if n_samples < 0:
+        raise ValueError(f"n_samples must be nonnegative, got {n_samples}")
     sampler = SoupSampler(q, intensity)
     shape_add = intensity if trivial else 0.0
     streams = Substreams(seed)
-    out = np.empty((n_samples, q.n))
+    flat = array("d")
     for i in range(n_samples):
-        rng = streams(start_index + i)
-        soup = sampler.sample(rng)
-        counts = discrete_occupation(soup, q.n)
-        out[i] = continuous_occupation(counts, shape_add, rng)
-    return out
+        flat.extend(sampler.occupation(streams(start_index + i), shape_add)[1])
+    return np.frombuffer(flat).reshape(n_samples, q.n)
 
 
 # --- transforms --------------------------------------------------------------

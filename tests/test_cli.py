@@ -22,8 +22,14 @@ def write_json(path, doc):
     return str(path)
 
 
+def _reject_constant(token):
+    raise ValueError(f"report is not strict JSON: bare {token}")
+
+
 def read_report(path):
-    lines = [json.loads(ln) for ln in path.read_text().splitlines()]
+    # strict: Infinity, -Infinity and NaN are Python's extensions, not JSON
+    text = path.read_text().splitlines()
+    lines = [json.loads(ln, parse_constant=_reject_constant) for ln in text]
     return lines[0], lines[1:]
 
 
@@ -89,13 +95,24 @@ class TestBadDocuments:
             {"sigma_tolerance": "5"},
             {"p_value_floor": None},
             {"seed": True},
+            # written as the bare token Infinity, which Python's json reads;
+            # no sigma reaches it, so every check would pass
+            {"sigma_tolerance": float("inf")},
         ],
-        ids=["string-tolerance", "null-floor", "bool-seed"],
+        ids=["string-tolerance", "null-floor", "bool-seed", "infinite-tolerance"],
     )
     def test_bad_config_exits_2(self, tmp_path, capsys, doc):
         cfg = write_json(tmp_path / "cfg.json", doc)
         assert main(["verify", "--config", cfg]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("intensity", ["0", "nan", "inf"])
+    def test_bad_intensity_exits_2(self, intensity, capsys):
+        argv = ["sample", "--what", "soup", "--n", "2", "--intensity", intensity]
+        assert main(argv) == 2
+        assert f"intensity must be positive and finite, got {float(intensity)}" in (
+            capsys.readouterr().err
+        )
 
     def test_fixtures_string_is_not_split_into_paths(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "cfg.json", {"fixtures": "x.json"})
@@ -240,6 +257,10 @@ class TestVerifyCommand:
         assert outcomes.pop("extra0-loop-mass-det") == "inconclusive"
         assert outcomes.pop("extra0-meeting-mass-greens") == "inconclusive"
         assert set(outcomes.values()) == {"pass"}
+        # the infinite bound is written as null
+        bounds = {c["check"]: c["bound"] for c in checks}
+        assert bounds["extra0-loop-mass-det"] is None
+        assert bounds["extra0-meeting-mass-greens"] is None
 
     def test_unacceptable_fixture_is_input_error(self, tmp_path, capsys):
         doc = {

@@ -120,6 +120,16 @@ def _reference_sample_loop(sampler: sp.SoupSampler, rng) -> lp.RootedLoop:
     return lp.RootedLoop(tuple(sites))
 
 
+def _sparse_matrix(n, rho, seed, sparsity, acyclic=False) -> WeightMatrix:
+    # |random_acceptable| with off-diagonal entries cut at the given rate, or
+    # only its strict lower triangle, which has no cycle and no loop mass
+    base = np.abs(random_acceptable(n, rho, seed).entries.real)
+    cut = substream(seed, 1).random((n, n)) < sparsity
+    np.fill_diagonal(cut, False)
+    entries = np.tril(base, -1) if acyclic else np.where(cut, 0.0, base)
+    return WeightMatrix.from_entries(tuple(f"s{i}" for i in range(n)), entries)
+
+
 class TestSoupSampler:
     def test_rejects_signed_weights(self):
         with pytest.raises(NotPositive):
@@ -130,6 +140,13 @@ class TestSoupSampler:
     def test_rejects_bad_intensity(self):
         with pytest.raises(ValueError):
             sp.SoupSampler(two_state(), 0.0)
+
+    @pytest.mark.parametrize("intensity", [-1.0, math.nan, math.inf])
+    def test_rejects_bad_intensity_before_building_tables(self, intensity, monkeypatch):
+        # caught up front, not later inside numpy's Poisson draw
+        monkeypatch.setattr(sp, "det_laplacian", None)  # building tables would fail here
+        with pytest.raises(ValueError, match=f"intensity .*got {intensity}"):
+            sp.SoupSampler(two_state(), intensity)
 
     def test_deterministic_given_stream(self):
         q = asym_two_site()
@@ -187,10 +204,7 @@ class TestSoupSampler:
     def test_bridge_matches_uncached_numpy_step(self, n, rho, seed, sparsity, index):
         # off-diagonal zeros make some bridge steps impossible; the diagonal
         # stays, so every matrix carries loop mass
-        base = np.abs(random_acceptable(n, rho, seed).entries.real)
-        cut = substream(seed, 1).random((n, n)) < sparsity
-        np.fill_diagonal(cut, False)
-        q = WeightMatrix.from_entries(tuple(f"s{i}" for i in range(n)), np.where(cut, 0.0, base))
+        q = _sparse_matrix(n, rho, seed, sparsity)
         sampler, reference = sp.SoupSampler(q, 1.0), sp.SoupSampler(q, 1.0)
         a, b = substream(seed, index), substream(seed, index)
         for _ in range(40):
@@ -217,6 +231,74 @@ class TestSoupSampler:
         for _ in range(2000):
             loop = sampler.sample_loop(rng)
             assert loop.sites == tuple([0] * loop.length)
+
+
+def _reference_occupation_fields(q, intensity, n_samples, seed, trivial=False, start_index=0):
+    # the per-row loop the fused path replaced: a LoopSoup, then its counts
+    sampler = sp.SoupSampler(q, intensity)
+    shape_add = intensity if trivial else 0.0
+    out = np.empty((n_samples, q.n))
+    for i in range(n_samples):
+        rng = substream(seed, start_index + i)
+        counts = sp.discrete_occupation(sampler.sample(rng), q.n)
+        out[i] = sp.continuous_occupation(counts, shape_add, rng)
+    return out
+
+
+class TestFusedOccupation:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(1, 6),
+        rho=st.sampled_from([0.2, 0.6, 0.9, 0.97]),
+        seed=st.integers(0, 2**20),
+        sparsity=st.sampled_from([0.0, 0.5, 0.8]),
+        acyclic=st.booleans(),
+        intensity=st.sampled_from([0.25, 0.5, 1.0, 2.0, 3.5]),
+        trivial=st.booleans(),
+        index=st.integers(0, 2**40),
+    )
+    def test_matches_soup_then_occupations(
+        self, n, rho, seed, sparsity, acyclic, intensity, trivial, index
+    ):
+        q = _sparse_matrix(n, rho, seed, sparsity, acyclic)
+        shape = intensity if trivial else 0.0
+        sampler, reference = sp.SoupSampler(q, intensity), sp.SoupSampler(q, intensity)
+        a, b = substream(seed, index), substream(seed, index)
+        for _ in range(8):
+            counts, values = sampler.occupation(a, shape)
+            expected = sp.discrete_occupation(reference.sample(b), n)
+            assert counts == expected.tolist()
+            drawn = sp.continuous_occupation(expected, shape, b)
+            assert np.array(values).tobytes() == drawn.tobytes()
+        assert a.random() == b.random()  # same stream position after
+
+    @pytest.mark.parametrize(
+        "q, intensity, trivial",
+        [
+            # the four (matrix, intensity, trivial part) configurations of mc
+            (one_point(0.5), 1.0, False),
+            (two_state(), 1.0, False),
+            (two_state(), 0.5, True),
+            (one_point(0.5), 0.5, True),
+        ],
+        ids=["transform-one-point", "transform-two-state", "isomorphism", "moments"],
+    )
+    def test_fields_match_per_row_loop(self, q, intensity, trivial):
+        kwargs = dict(seed=42, trivial=trivial, start_index=5 * 10**6)
+        fields = sp.sample_occupation_fields(q, intensity, 400, **kwargs)
+        expected = _reference_occupation_fields(q, intensity, 400, **kwargs)
+        assert fields.shape == expected.shape and fields.dtype == expected.dtype
+        assert fields.tobytes() == expected.tobytes()
+
+    def test_no_samples_gives_an_empty_batch(self):
+        assert sp.sample_occupation_fields(two_state(), 1.0, 0, seed=1).shape == (0, 2)
+        with pytest.raises(ValueError, match="n_samples"):
+            sp.sample_occupation_fields(two_state(), 1.0, -1, seed=1)
+
+    @pytest.mark.parametrize("shape", [-0.5, math.nan, math.inf])
+    def test_bad_trivial_shape_rejected(self, shape):
+        with pytest.raises(InvalidShape, match="trivial shape"):
+            sp.SoupSampler(two_state(), 1.0).occupation(substream(3), shape)
 
 
 class TestOccupation:
@@ -276,6 +358,17 @@ class TestOccupation:
         # a trivial part large enough to lift the shape above zero still fails
         with pytest.raises(InvalidShape, match="negative visit count"):
             sp.continuous_occupation(np.array(counts), trivial, substream(3))
+
+    @pytest.mark.parametrize("counts", [[math.nan], [1, math.inf], [1.5, 0], [2, 0.25]])
+    def test_non_integer_count_rejected(self, counts):
+        # numpy would return nan or inf, or draw a fractional Gamma shape
+        with pytest.raises(InvalidShape, match="finite whole numbers"):
+            sp.continuous_occupation(np.array(counts), 0.0, substream(3))
+
+    @pytest.mark.parametrize("trivial", [math.nan, math.inf])
+    def test_non_finite_shape_rejected(self, trivial):
+        with pytest.raises(InvalidShape, match="trivial shape"):
+            sp.continuous_occupation(np.array([1, 0]), trivial, substream(3))
 
     @pytest.mark.parametrize(
         "entries",

@@ -21,12 +21,11 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .errors import InvalidPath, TooLarge
 from .matrices import (
     WeightMatrix,
-    _lu_factor,
+    _lu_solve,
     abs_resolvent_tail,
     det_laplacian,
     require_acceptable,
@@ -146,18 +145,19 @@ def local_times(loop: RootedLoop, n_sites: int) -> np.ndarray:
     return np.bincount(np.asarray(loop.sites), minlength=n_sites)
 
 
-def _prefix_walk(support, max_len, start, extend):
+def _prefix_walk(support, max_len, start, extend, *, lowest=False):
     """Depth-first walk over the supported paths x_0..x_d from every root.
 
     Yields (root, d, sites, carried) per chunk of at most 1024 paths of d
     steps, ``sites`` being their x_d and ``carried`` a tuple of arrays with
     one column per path: ``start(root)`` at d = 0, and then
-    ``extend(carried, parent, edge, sites)`` for the paths that take steps
-    ``edge`` (indices into ``np.nonzero(support)``) from columns ``parent``.
-    A path that cannot return to the root within max_len steps in all is
-    not extended, and pending chunks wait on a stack, so memory stays
+    ``extend(root, carried, parent, edge, sites)`` for the paths that take
+    steps ``edge`` (indices into ``np.nonzero(support)``) from columns
+    ``parent``.  With ``lowest`` a path never steps below its root.  A path
+    that cannot return to the root within max_len steps in all is not
+    extended, and pending chunks wait on a stack, so memory stays
     O(max_len * n * 1024).  Raises TooLarge before the first chunk when
-    more than DEFAULT_BUDGET loops would be produced.
+    more than DEFAULT_BUDGET rooted loops would be produced.
     """
     n_sites = len(support)
     # the clamp keeps the saturated path counts within int64
@@ -177,7 +177,7 @@ def _prefix_walk(support, max_len, start, extend):
     bounds = np.searchsorted(last, np.arange(n_sites + 1))
     degree = np.diff(bounds)
     for root in np.flatnonzero(back.diagonal() <= max_len):
-        steps_left = back[nxt, root]
+        steps_left = np.where(lowest & (nxt < root), max_len + 1, back[nxt, root])
         stack = [(0, np.array([root]), start(root))]
         while stack:
             depth, sites, carried = stack.pop()
@@ -192,7 +192,7 @@ def _prefix_walk(support, max_len, start, extend):
             keep = steps_left[edge] < max_len - depth
             parent, edge = parent[keep], edge[keep]
             sites = nxt[edge]
-            carried = extend(carried, parent, edge, sites)
+            carried = extend(root, carried, parent, edge, sites)
             for lo in reversed(range(0, len(edge), _BLOCK_ROWS)):
                 chunk = slice(lo, lo + _BLOCK_ROWS)
                 stack.append((depth + 1, sites[chunk], tuple(a[..., chunk] for a in carried)))
@@ -209,7 +209,7 @@ def loop_blocks(q: WeightMatrix, max_len: int) -> Iterator[np.ndarray]:
     """
     support = q.support()
 
-    def extend(carried, parent, edge, sites):
+    def extend(root, carried, parent, edge, sites):
         return (np.vstack((carried[0][:, parent], sites)),)
 
     def start(root):
@@ -249,11 +249,14 @@ def loop_prefix_sums(
     ``reverse``, rows 2 and 3 do the same for the weight of the loop walked
     backwards.
 
-    Each loop is summed literally, once, as a leaf of the prefix walk from
-    every root.  A path x_0..x_d carries its running products, one multiply
-    per step, and the closing entry Q(x_d, x_0) makes it the loop of length
-    d + 1; loops with a common prefix share its products.  Refuses more than
-    DEFAULT_BUDGET loops with TooLarge before any work.
+    Each rotation class is summed from its lowest site r: the prefix walk
+    from r keeps to sites >= r and counts the k visits to r.  A class of n
+    steps that repeats its minimal cycle p times has k/p rootings at r and
+    n/p rooted loops, so a closing path weighs n/k.  A path x_0..x_d
+    carries its running products, one multiply per step, and the closing
+    entry Q(x_d, x_0) makes it the loop of length d + 1; loops with a
+    common prefix share its products.  Refuses more than DEFAULT_BUDGET
+    rooted loops with TooLarge before any work.
     """
     support = q.support()
     factor = np.asarray(factor, dtype=np.complex128)
@@ -264,15 +267,17 @@ def loop_prefix_sums(
     close = np.where(support, walks, 0.0)
     sums = np.zeros((2 * len(walks), max_len), dtype=np.complex128)
 
-    def extend(carried, parent, edge, sites):
-        weights, disc = carried
-        return weights[:, parent] * step[:, edge], disc[parent] * factor[sites]
+    def extend(root, carried, parent, edge, sites):
+        weights, disc, visits = carried
+        visits = visits[parent] + (sites == root)
+        return weights[:, parent] * step[:, edge], disc[parent] * factor[sites], visits
 
     def start(root):
-        return np.ones((len(walks), 1)), factor[[root]]
+        return np.ones((len(walks), 1)), factor[[root]], np.ones(1)
 
-    for root, depth, sites, (weights, disc) in _prefix_walk(support, max_len, start, extend):
-        loops = weights * close[:, sites, root]
+    walk = _prefix_walk(support, max_len, start, extend, lowest=True)
+    for root, depth, sites, (weights, disc, visits) in walk:
+        loops = weights * (close[:, sites, root] * ((depth + 1) / visits))
         sums[::2, depth] += loops.sum(axis=1)
         sums[1::2, depth] += loops @ disc
     return sums
@@ -371,19 +376,18 @@ def exp_meeting_mass_greens(q: WeightMatrix, sites: Sequence[str]) -> complex:
 
     Peel the listed sites one at a time: multiply G(x, x) computed on the
     not-yet-peeled state space.  Independent of the peeling order; with all
-    sites listed this is 1/det(I - Q).  A principal block of an acceptable Q
-    is acceptable, rho(|Q_A|) <= rho(|Q|) by Perron-Frobenius, so Q is gated
-    once and each G(x, x) is one column solve of I - Q on the block.
+    sites listed this is 1/det(I - Q).  Q is gated and I - Q inverted once
+    per call; peeling x downdates the inverse to that on the sites left,
+    g <- g - g[:, x] g[x, :] / g[x, x].  For acceptable Q, |G_A(x, x)| > 1/2
+    and I - Q is an H-matrix, so the downdates are safe and stable.
     """
     require_acceptable(q)
     if len(set(sites)) != len(sites):
         raise InvalidPath("peeling order must not repeat sites")
-    remaining = np.arange(q.n)
+    g = _lu_solve(np.eye(q.n) - q.entries, np.eye(q.n))
     product = 1.0 + 0.0j
-    for label in sites:
-        at = remaining == q.space.index(label)
-        block = np.eye(len(remaining)) - q.entries[np.ix_(remaining, remaining)]
-        column = scipy.linalg.lu_solve(_lu_factor(block), at.astype(float), check_finite=False)
-        product *= column[at][0]
-        remaining = remaining[~at]
+    for x in q.space.indices(sites):
+        pivot = g[x, x]
+        product *= pivot
+        g = g - np.outer(g[:, x], g[x] / pivot)
     return complex(product)

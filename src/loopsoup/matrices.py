@@ -13,7 +13,6 @@ site, and diagonal perturbations.
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -57,6 +56,9 @@ _PIVOT_TOL = 1e-14
 
 # entries at most this large in modulus count as absent steps
 _SUPPORT_TOL = 1e-15
+
+# LAPACK's complex LU factorization and solve, bound once
+_GETRF, _GETRS = scipy.linalg.get_lapack_funcs(("getrf", "getrs"), dtype=np.complex128)
 
 
 @dataclass(frozen=True)
@@ -240,15 +242,19 @@ def require_acceptable(q: WeightMatrix) -> float:
 
 
 def _lu_factor(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """LU with partial pivoting; NumericallySingular on a pivot below the
-    tolerance scaled by the largest entry."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(arr, check_finite=False)
+    """LU with partial pivoting of a complex matrix; NumericallySingular on
+    a pivot below the tolerance scaled by the largest entry."""
+    lu, piv, _ = _GETRF(arr)
     scale = np.max(np.abs(arr))
     if np.any(np.abs(np.diag(lu)) < _PIVOT_TOL * max(scale, 1.0)):
         raise NumericallySingular("LU pivot below tolerance")
     return lu, piv
+
+
+def _lu_solve(arr: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve arr @ x = rhs by one ``_lu_factor``."""
+    lu, piv = _lu_factor(arr)
+    return _GETRS(lu, piv, rhs)[0]
 
 
 def lu_det(matrix: np.ndarray) -> complex:
@@ -269,8 +275,7 @@ def det_laplacian(q: WeightMatrix) -> complex:
 def greens_exact(q: WeightMatrix) -> GreensFunction:
     """G = (I - Q)^{-1} by LU with partial pivoting."""
     require_acceptable(q)
-    lu_piv = _lu_factor(np.eye(q.n) - q.entries)
-    g = scipy.linalg.lu_solve(lu_piv, np.eye(q.n), check_finite=False)
+    g = _lu_solve(np.eye(q.n) - q.entries, np.eye(q.n))
     return GreensFunction(q.space, g, source="exact_inverse")
 
 
@@ -343,8 +348,7 @@ def first_return_weight(
     total = complex(q.entries[i, i])
     if mode == "excursion":
         if others:  # I - Q_A is invertible: Q_A is acceptable with Q
-            lu_piv = _lu_factor(np.eye(len(others)) - sub)
-            total += complex(row @ scipy.linalg.lu_solve(lu_piv, col, check_finite=False))
+            total += complex(row @ _lu_solve(np.eye(len(others)) - sub, col))
         return total
     if mode != "brute_force":
         raise ValueError(f"unknown mode {mode!r}")

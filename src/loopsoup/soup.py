@@ -34,13 +34,13 @@ from .errors import (
     InvalidShape,
     NotPositive,
     NumericalFailure,
-    NumericallySingular,
     TooLarge,
 )
 from .loops import RootedLoop, TruncatedMass, exp_truncated, loop_prefix_sums
 from .loops import loop_mass_per_length, mass_tail
 from .matrices import (
     WeightMatrix,
+    _lu_solve,
     det_laplacian,
     lu_det,
     perturb,
@@ -70,8 +70,8 @@ __all__ = [
 # past this many terms the complex Poisson weights are refused
 _POISSON_MAX_TERMS = 100_000
 
-# the branch of a transform power is resolved on at most 2**this grid steps
-_MAX_REFINEMENT = 12
+# a transform factor 1 + s z, s in [0, 1], this close to 0 has no sure branch
+_BRANCH_TOL = 1e-9
 
 # a soup sampler memoizes bridge rows until they hold this many floats
 _BRIDGE_MEMO_FLOATS = 2**19
@@ -352,34 +352,32 @@ def nu_transform_closed(q: WeightMatrix, f: Sequence[complex], t: complex) -> co
     Equals [det(I - Q) / det(I - Q_f)]^t with Q_f the row rescaling of Q by
     1/(1+f).  Integer t needs no branch choice.  Otherwise the power uses
     the continuous branch along the segment s*f, s in [0, 1], anchored at 1
-    when f = 0; if that path crosses a zero or pole of the ratio, or winds
-    too fast to resolve, BranchError is raised.
+    when f = 0.  Along it the ratio is prod_x (1 + s f(x)) / prod_i (1 + s
+    nu_i), nu being the eigenvalues of G diag(f): its argument is sum
+    Arg(1 + f(x)) - sum Arg(1 + nu_i), its modulus that of the full ratio.
+    f is set to 0 first at sites no loop visits, where the two factors
+    cancel.  BranchError is raised when a factor's segment [1, 1 + z]
+    passes within 1e-9 of 0, a zero or pole of the ratio.
     """
     vec = np.asarray(f, dtype=np.complex128)
     base = det_laplacian(q)
     ratio_full = base / lu_det(np.eye(q.n) - perturb(q, vec).entries)
     if _is_integer(t):
         return complex(ratio_full ** int(round(complex(t).real)))
-
-    def ratio_at(lam: float) -> complex:
-        return base / lu_det(np.eye(q.n) - perturb(q, lam * vec).entries)
-
-    steps = 8
-    while steps <= 2**_MAX_REFINEMENT:
-        grid = np.linspace(0.0, 1.0, steps + 1)
-        try:
-            values = [ratio_at(lam) for lam in grid]
-        except (NumericallySingular, ZeroDivisionError) as exc:
-            raise BranchError(
-                f"transform path crosses a singular point: {exc}"
-            ) from exc
-        jumps = np.angle(np.asarray(values[1:]) / np.asarray(values[:-1]))
-        if np.max(np.abs(jumps)) < math.pi / 4:
-            total_arg = float(np.sum(jumps))
-            log_ratio = math.log(abs(ratio_full)) + 1j * total_arg
-            return complex(np.exp(t * log_ratio))
-        steps *= 2
-    raise BranchError("could not resolve a continuous branch for the power")
+    # a site is on a loop when it reaches itself in 1..n steps
+    reach = q.support()
+    for _ in range(q.n.bit_length()):
+        reach = reach | reach @ reach
+    vec = np.where(reach.diagonal(), vec, 0.0)
+    nu = np.linalg.eigvals(_lu_solve(np.eye(q.n) - q.entries, np.diag(vec)))
+    z = np.concatenate((vec, nu))
+    # the point of each segment 1 + s z, s in [0, 1], nearest to 0
+    nearest = np.clip(-z.real / (np.abs(z) ** 2 + (z == 0)), 0.0, 1.0)
+    if np.min(np.abs(1.0 + nearest * z)) < _BRANCH_TOL:
+        raise BranchError("transform path crosses or grazes a zero or pole of the ratio")
+    total_arg = float(np.angle(1.0 + vec).sum() - np.angle(1.0 + nu).sum())
+    log_ratio = math.log(abs(ratio_full)) + 1j * total_arg
+    return complex(np.exp(t * log_ratio))
 
 
 def trivial_transform_closed(f: Sequence[complex], t: complex) -> complex:
@@ -438,9 +436,9 @@ def _loop_sum_check(
     """Closed transform at t (2t with ``reversal``) against exp(t * S).
 
     S is the truncated sum over rooted loops of m_f - m, each loop taken
-    with its reversal when ``reversal`` is set.  Every loop up to max_len
-    is a leaf of the prefix walk of ``loop_prefix_sums``, so S stays a
-    literal loop sum.
+    with its reversal when ``reversal`` is set.  ``loop_prefix_sums`` walks
+    each rotation class from its lowest site and weighs it by its number of
+    rooted loops, so S stays the literal rooted loop sum.
     """
     require_acceptable(q)
     vec = np.asarray(f, dtype=np.complex128)
@@ -486,8 +484,9 @@ def occupation_transform_loop_check(
     The soup of intensity t has E[exp(-<f, field>)] equal to the exponential
     of t times the sum over rooted loops of m_f(loop) - m(loop), m_f being
     the measure with each visit to x discounted by 1/(1 + f(x)).  That sum
-    is taken literally over loops up to ``max_len``: each loop is one leaf
-    of the prefix walk of ``loops.loop_prefix_sums``, and loops sharing a
+    is taken literally over loops up to ``max_len``: the prefix walk of
+    ``loops.loop_prefix_sums`` reaches each rotation class from its lowest
+    site and weighs it by its number of rooted loops, and loops sharing a
     prefix share its running products.
     """
     return _loop_sum_check(q, f, intensity, max_len, reversal=False)

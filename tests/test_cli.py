@@ -228,8 +228,8 @@ class TestVerifyCommand:
         assert all(c["outcome"] == "pass" for c in extras)
 
     def test_adversarial_fixtures_pass_and_rerun_identically(self, monkeypatch, tmp_path, capsys):
-        # non-normal triangular, reducible block and periodic cycle fixtures;
-        # the config lists them relative to the repository root
+        # non-normal triangular, reducible block, periodic cycle and dense
+        # 32-site fixtures; the config lists them relative to the repository root
         monkeypatch.chdir(DATA.parent.parent)
         cfg = str(DATA / "adversarial_verify.json")
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
@@ -238,7 +238,7 @@ class TestVerifyCommand:
         assert a.read_bytes() == b.read_bytes()
         _, checks = read_report(a)
         extras = [c for c in checks if c["check"].startswith("extra")]
-        assert len(extras) == 12
+        assert len(extras) == 16
         assert all(c["outcome"] == "pass" for c in extras)
 
     def test_overflowed_tail_is_inconclusive(self, tmp_path, capsys):

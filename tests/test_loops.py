@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -127,8 +128,20 @@ _SUPPORT_CASES = pytest.mark.parametrize(
         ([[0.3, 0.2], [0.1, 0.0]], 8),
         ([[0.2, 0.3, 0.0], [0.0, 0.0, 0.0], [0.2, 0.1, 0.3]], 7),
         ([[0.4]], 6),
+        # two cycles and a self-loop through site 0: loops such as 0 1 0 2
+        # and 0 0 0 visit their lowest site k > 1 times
+        ([[0.2, 0.3, 0.3], [0.3, 0.0, 0.0], [0.3, 0.0, 0.1]], 8),
+        # a directed 3-cycle: every loop repeats one motif 1, 2 or 3 times
+        ([[0, 0.4, 0], [0, 0, 0.4], [0.4, 0, 0]], 9),
+        # every loop passes site 0, so the roots above it close no loop
+        ([[0, 0.4, 0, 0], [0, 0, 0.4, 0], [0.3, 0, 0, 0.3], [0.4, 0, 0, 0]], 10),
+        # 2 1 2 1 revisits its lowest site, which is not site 0
+        ([[0.0, 0.0, 0.0], [0.0, 0.0, 0.5], [0.0, 0.5, 0.2]], 8),
     ],
-    ids=["dense", "sparse", "self-loop", "zero-row", "one-site"],
+    ids=[
+        "dense", "sparse", "self-loop", "zero-row", "one-site",
+        "lowest-revisited", "periodic", "roots-without-loops", "lowest-above-zero",
+    ],
 )
 
 # loops of each length on two large supports, and the traced peak allowed
@@ -249,6 +262,22 @@ class TestLoopPrefixSums:
         q = mx.WeightMatrix.from_entries([f"s{i}" for i in range(len(entries))], entries)
         factor = np.linspace(0.5, 1.5, q.n) * np.exp(0.3j * np.arange(q.n))
         self._assert_matches_reference(q, max_len, factor)
+
+    @_SUPPORT_CASES
+    def test_fixed_supports_count_every_rooted_loop(self, entries, max_len):
+        # on a 0/1 copy of the support every rooted loop weighs one, and
+        # walked backwards one when its reversal is supported too; the walk's
+        # weights n/k round, so the counts hold to a few units in the last bit
+        support = (np.asarray(entries) != 0).astype(float)
+        q = mx.WeightMatrix.from_entries([f"s{i}" for i in range(len(support))], support)
+
+        def counts(m):
+            return [np.trace(np.linalg.matrix_power(m, n)) for n in range(1, max_len + 1)]
+
+        sums = lp.loop_prefix_sums(q, max_len, np.ones(q.n), reverse=True)
+        forward, both = counts(support), counts(support * support.T)
+        np.testing.assert_allclose(sums.real, [forward, forward, both, both], rtol=1e-13)
+        assert not sums.imag.any()
 
     @given(_prefix_walk_inputs())
     @settings(max_examples=80, deadline=None)
@@ -396,10 +425,10 @@ class TestExpIdentities:
         with pytest.raises(UnknownSite):
             lp.exp_meeting_mass_greens(two_state(), ["x", "nowhere"])
 
-    def test_peel_gates_once_and_inverts_nothing(self, monkeypatch):
-        # each G(x, x) is one column solve on the remaining block
+    def test_peel_gates_once_and_factors_once(self, monkeypatch):
+        # one LU of I - Q, then a Schur downdate per peeled site
         q = random_acceptable(6, 0.7, seed=97, complex_entries=True)
-        calls = {"spectral_radius_abs": 0, "greens_exact": 0}
+        calls = {"spectral_radius_abs": 0, "greens_exact": 0, "_lu_factor": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -413,9 +442,49 @@ class TestExpIdentities:
         greens = counted("greens_exact", mx.greens_exact)
         monkeypatch.setattr(mx, "greens_exact", greens)
         monkeypatch.setattr(lp, "greens_exact", greens, raising=False)
+        monkeypatch.setattr(mx, "_lu_factor", counted("_lu_factor", mx._lu_factor))
         full = lp.exp_meeting_mass_greens(q, ["s4", "s0", "s5", "s2", "s1", "s3"])
-        assert calls == {"spectral_radius_abs": 1, "greens_exact": 0}
+        assert calls == {"spectral_radius_abs": 1, "greens_exact": 0, "_lu_factor": 1}
         assert full == pytest.approx(1.0 / mx.det_laplacian(q), rel=1e-12)
+
+
+def _column_solve_peel(q, sites):
+    """The nested Green's-diagonal product with one column solve of I - Q
+    on the not-yet-peeled block per site."""
+    remaining = list(range(q.n))
+    product = 1.0 + 0.0j
+    for x in q.space.indices(sites):
+        at = remaining.index(x)
+        block = np.eye(len(remaining)) - q.entries[np.ix_(remaining, remaining)]
+        product *= np.linalg.solve(block, np.eye(len(remaining))[:, at])[at]
+        remaining.remove(x)
+    return product
+
+
+_DENSE32 = Path(__file__).parent / "data" / "dense32.json"
+
+
+class TestPeelDowndates:
+    @given(
+        st.integers(min_value=1, max_value=8),
+        st.sampled_from([0.3, 0.7, 0.95]),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_column_solves(self, n, rho, seed):
+        q = random_acceptable(n, rho, seed=seed % 10_000, complex_entries=True)
+        rng = np.random.default_rng(seed)
+        sites = list(rng.permutation(q.space.labels)[: rng.integers(1, n + 1)])
+        want = _column_solve_peel(q, sites)
+        assert abs(lp.exp_meeting_mass_greens(q, sites) - want) <= 1e-12 * abs(want)
+
+    def test_dense32_orderings_and_subsets(self):
+        q = mx.WeightMatrix.from_json_file(_DENSE32)
+        rng = np.random.default_rng(32)
+        for size in (32, 32, 32, 32, 16, 5, 1):
+            sites = list(rng.permutation(q.space.labels)[:size])
+            want = _column_solve_peel(q, sites)
+            assert abs(lp.exp_meeting_mass_greens(q, sites) - want) <= 1e-12 * abs(want)
 
 
 class TestPerturbedMeasure:

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from loopsoup import loops as lp
@@ -23,7 +23,14 @@ from loopsoup.fixtures import (
     random_acceptable,
     two_state,
 )
-from loopsoup.matrices import WeightMatrix, greens_exact, perturb, require_acceptable
+from loopsoup.matrices import (
+    WeightMatrix,
+    det_laplacian,
+    greens_exact,
+    lu_det,
+    perturb,
+    require_acceptable,
+)
 from loopsoup.rng import substream
 
 
@@ -454,6 +461,94 @@ class TestClosedTransforms:
             sp.trivial_transform_closed([-1.0], 0.5)
         with pytest.raises(ZeroDivisionError):
             sp.nu_transform_closed(one_point(0.3), [-1.0], 1.0)
+
+
+def _grid_transform(q, f, t):
+    """[det(I - Q) / det(I - Q_sf)]^t with the branch followed on a grid of
+    s in [0, 1], refined until no step turns the ratio by pi/4 or more, up
+    to 4096 steps.  Only trusted on paths kept clear of zeros and poles."""
+    vec = np.asarray(f, dtype=np.complex128)
+    base = det_laplacian(q)
+
+    def ratio_at(s):
+        return base / lu_det(np.eye(q.n) - perturb(q, s * vec).entries)
+
+    steps = 8
+    while steps <= 4096:
+        values = np.array([ratio_at(s) for s in np.linspace(0.0, 1.0, steps + 1)])
+        jumps = np.angle(values[1:] / values[:-1])
+        if np.max(np.abs(jumps)) < math.pi / 4:
+            log_ratio = math.log(abs(values[-1])) + 1j * float(np.sum(jumps))
+            return complex(np.exp(t * log_ratio))
+        steps *= 2
+    raise AssertionError("the grid did not resolve the branch")
+
+
+def _segment_clearance(q, f):
+    """Least distance from 0 of the segments [1, 1 + z] over z = f(x) and
+    the eigenvalues of G diag(f)."""
+    vec = np.asarray(f, dtype=np.complex128)
+    nu = np.linalg.eigvals(np.linalg.solve(np.eye(q.n) - q.entries, np.diag(vec)))
+    z = np.concatenate((vec, nu))
+    s = np.linspace(0.0, 1.0, 2001)[:, None]
+    return float(np.min(np.abs(1.0 + s * z)))
+
+
+@st.composite
+def _branch_inputs(draw):
+    """Dense complex, non-normal triangular (off-diagonal x20) or 60%-sparse
+    Q on 1-6 sites with rho(|Q|) in [0.2, 0.9], a complex f, and t."""
+    kind = draw(st.sampled_from(["dense", "triangular", "sparse"]))
+    n = draw(st.integers(min_value=1, max_value=6))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    m = rng.uniform(-1.0, 1.0, (n, n)) + 1j * rng.uniform(-1.0, 1.0, (n, n))
+    if kind == "triangular":
+        m = 20.0 * np.triu(m, k=1) + np.diag(np.diag(m))
+    elif kind == "sparse":
+        m[rng.uniform(size=(n, n)) < 0.6] = 0.0
+    radius = np.max(np.abs(np.linalg.eigvals(np.abs(m))))
+    if radius > 0:
+        m *= rng.uniform(0.2, 0.9) / radius
+    q = WeightMatrix.from_entries([f"s{i}" for i in range(n)], m)
+    f = rng.uniform(-1.5, 2.0, n) + 1j * rng.uniform(-1.5, 1.5, n)
+    t = draw(st.sampled_from([0.5, 0.7, 1.3, 2.5, 0.25 + 0.5j]))
+    return q, f, t
+
+
+class TestTransformBranch:
+    # real f(x) < -1 at a site on a loop: the path s * f crosses a zero of
+    # the ratio (and here a pole), both inside one step of an 8-step grid
+    @pytest.mark.parametrize(
+        "q, f",
+        [
+            (one_point(0.12), [-1.34]),
+            (random_acceptable(4, 0.6, seed=0), [-2.64, 0.13, 0.02, 0.01]),
+            (random_acceptable(5, 0.6, seed=4), [-1.78, 0.26, 0.49, 0.04, 0.3]),
+            (random_acceptable(6, 0.6, seed=2), [-1.42, 0.15, 0.41, 0.05, 0.3, 0.36]),
+        ],
+        ids=["one-point", "dense4", "dense5", "dense6"],
+    )
+    def test_crossing_between_grid_points_is_refused(self, q, f):
+        with pytest.raises(BranchError):
+            sp.nu_transform_closed(q, f, 0.5)
+
+    def test_loop_free_site_does_not_move_the_value(self):
+        # no step enters site c, so no loop visits it
+        q = WeightMatrix.from_entries(
+            ["a", "b", "c"], [[0.3, 0.2, 0.0], [0.2, 0.1, 0.0], [0.3, 0.1, 0.0]]
+        )
+        want = sp.nu_transform_closed(q, [0.2, 0.1 + 0.05j, 0.0], 0.5)
+        for fc in (0.3, -2.0, -2.5, 5.0 - 1.0j):
+            got = sp.nu_transform_closed(q, [0.2, 0.1 + 0.05j, fc], 0.5)
+            assert got == pytest.approx(want, rel=1e-14)
+
+    @given(_branch_inputs())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_grid_on_clear_paths(self, inputs):
+        q, f, t = inputs
+        assume(_segment_clearance(q, f) > 0.05)
+        want = _grid_transform(q, f, t)
+        assert abs(sp.nu_transform_closed(q, f, t) - want) <= 1e-12 * abs(want)
 
 
 class TestEmpiricalTransform:

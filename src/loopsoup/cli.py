@@ -408,7 +408,7 @@ def _verify_checks(config: RunConfig) -> list[CheckReport]:
     # per-loop pushforward of the doubled measure
     worst = max(
         gff.pushforward_loop_check(herm2, max_len=8),
-        gff.pushforward_loop_check(herm3, max_len=6),
+        gff.pushforward_loop_check(herm3, max_len=8),
     )
     out.append(
         _report(
@@ -417,6 +417,7 @@ def _verify_checks(config: RunConfig) -> list[CheckReport]:
             worst,
             1e-10,
             fixtures=["herm2", "herm3"],
+            max_len=8,
         )
     )
 

@@ -31,7 +31,7 @@ from .errors import (
     NotPositiveDefinite,
     OutOfDomain,
 )
-from .loops import block_weights, loop_blocks
+from .loops import prefix_walk
 from .matrices import (
     StateSpace,
     WeightMatrix,
@@ -315,23 +315,42 @@ def pushforward_loop_check(q: WeightMatrix, max_len: int) -> float:
     For each base rooted loop, sum the doubled loop measure over all 2^n
     site lifts (each visit chooses the plain or starred copy) and compare
     with m'(loop) + m'(reversed loop).  Returns the max absolute error.
-    The lifts of a whole ``loop_blocks`` block are multiplied step by step
-    as one (loops, 2^n) array: each loop's products come in the same order.
+    With B(x, y) the 2x2 block of the doubled matrix between {x, x*} and
+    {y, y*}, the lift sum of x_0..x_d is tr(B(x_0, x_1) ... B(x_d, x_0)):
+    each path of ``prefix_walk`` carries its 2x2 product and its forward
+    and reversed weights, one multiply per step.  The walk roots each loop
+    at its lowest site only; a rotation leaves the trace, both weights and
+    the length unchanged, so every rooted loop's identity is still checked.
     """
     if not q.hermitian:
         raise InvalidMatrix("pushforward check needs Hermitian weights")
-    doubled = double_weights(q).entries.real
+    n = q.n
+    # blocks[x, y, a, b]: doubled entry from copy a of x to copy b of y
+    blocks = double_weights(q).entries.real.reshape(2, n, 2, n).transpose(1, 3, 0, 2)
+    support = q.support()
+    last, nxt = np.nonzero(support)
+    # per supported step last -> nxt: its block, its weight and its reverse's
+    step_block = blocks[last, nxt].transpose(1, 2, 0)
+    forward, backward = q.entries[last, nxt], q.entries[nxt, last]
     worst = 0.0
-    for block in loop_blocks(q, max_len):
-        n = block.shape[1]
-        # shift[j, l]: offset of lift l's copy of visit j, 0 plain or n starred
-        shift = q.n * ((np.arange(2**n) >> np.arange(n)[:, None]) & 1)
-        expect = (block_weights(q, block) + block_weights(q, block, reverse=True)) / n
-        w = np.ones((len(block), 2**n))
-        for j in range(n):
-            k = (j + 1) % n
-            w *= doubled[block[:, j, None] + shift[j], block[:, k, None] + shift[k]]
-        error = w.sum(axis=1) / n - expect
+
+    def extend(root, carried, parent, edge, sites):
+        product, fwd, back = carried
+        product = (product[:, :, None, parent] * step_block[None, :, :, edge]).sum(axis=1)
+        return product, fwd[parent] * forward[edge], back[parent] * backward[edge]
+
+    def start(root):
+        return np.eye(2)[:, :, None], np.ones(1, dtype=complex), np.ones(1, dtype=complex)
+
+    for root, depth, sites, (product, fwd, back) in prefix_walk(support, max_len, start, extend):
+        closes = support[sites, root]
+        if not closes.any():
+            continue
+        ends = sites[closes]
+        # tr(P B) sums P[a, b] B[b, a] over both copies
+        lifts = (product[:, :, closes] * blocks[ends, root].transpose(2, 1, 0)).sum(axis=(0, 1))
+        expect = fwd[closes] * q.entries[ends, root] + back[closes] * q.entries[root, ends]
+        error = (lifts - expect) / (depth + 1)
         # hypot rounds as abs() of one complex does; np.abs of an array may not
         worst = max(worst, np.hypot(error.real, error.imag).max())
     return worst

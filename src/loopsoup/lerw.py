@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Hashable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -28,7 +28,6 @@ from .matrices import (
 from .loops import DEFAULT_BUDGET, exp_meeting_mass_greens
 
 __all__ = [
-    "loop_erase",
     "path_weight",
     "BoundaryProblem",
     "BruteForceLerw",
@@ -36,27 +35,6 @@ __all__ = [
     "lerw_weights_bruteforce",
     "self_avoiding_paths",
 ]
-
-
-def loop_erase(path: Sequence[Hashable]) -> tuple:
-    """Chronological loop erasure: drop cycles in order of completion.
-
-    Scanning left to right, a revisit truncates the kept path back to the
-    first occurrence of the revisited site.  The result is self-avoiding.
-    """
-    if len(path) == 0:
-        raise InvalidPath("cannot erase an empty path")
-    kept: list = []
-    position: dict = {}
-    for site in path:
-        if site in position:
-            for removed in kept[position[site] + 1 :]:
-                del position[removed]
-            del kept[position[site] + 1 :]
-        else:
-            position[site] = len(kept)
-            kept.append(site)
-    return tuple(kept)
 
 
 def path_weight(q: WeightMatrix, sites: Sequence[str]) -> complex:

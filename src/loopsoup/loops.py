@@ -1,12 +1,12 @@
-"""Rooted and unrooted loops and their weighted measures.
+"""Rooted loops, the walk that enumerates them, and their weighted measures.
 
 A rooted loop on a finite state space is a cyclic site sequence with a
 distinguished starting point; we store the visited sites (x_0, ..., x_{n-1})
 as integer indices, the closing step x_{n-1} -> x_0 being implicit.  Its
 measure is m(loop) = Q(loop) / n where Q(loop) multiplies the edge weights
-along the cycle.  An unrooted loop is the rotation class; its measure adds
-m over the d distinct rooted representatives, d being the minimal cyclic
-period of the site sequence.
+along the cycle.  Rotating the root changes neither Q(loop) nor n, so a
+rotation class (an unrooted loop) is reached once, from its lowest site,
+and weighed by its number of rooted loops.
 
 Loop masses (sums of m over families of loops) are computed three ways that
 must agree: literal enumeration (budgeted), per-length matrix traces with a
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -34,19 +34,9 @@ from .matrices import (
 
 __all__ = [
     "RootedLoop",
-    "UnrootedLoop",
     "TruncatedMass",
-    "loop_weight",
-    "loop_measure",
-    "unrooted_loop_measure",
-    "perturbed_loop_measure",
-    "local_times",
-    "minimal_period",
-    "canonicalize",
-    "loop_blocks",
-    "block_weights",
+    "prefix_walk",
     "loop_prefix_sums",
-    "enumerate_rooted_loops",
     "loop_mass_per_length",
     "mass_tail",
     "loop_mass_truncated",
@@ -58,8 +48,8 @@ __all__ = [
 
 DEFAULT_BUDGET = 10**7
 
-# rows per loop block: fixed so blockwise sums repeat, small to spare memory
-_BLOCK_ROWS = 1024
+# paths per chunk of the walk: fixed so chunked sums repeat, small to spare memory
+_CHUNK_PATHS = 1024
 
 
 @dataclass(frozen=True)
@@ -76,88 +66,23 @@ class RootedLoop:
     def length(self) -> int:
         return len(self.sites)
 
-    def rotated(self, k: int) -> "RootedLoop":
-        n = len(self.sites)
-        k %= n
-        return RootedLoop(self.sites[k:] + self.sites[:k])
 
-
-@dataclass(frozen=True)
-class UnrootedLoop:
-    """Rotation class of a rooted loop.
-
-    ``sites`` is the lexicographically least rotation and ``rotations`` the
-    number of distinct rooted representatives (the minimal cyclic period).
-    """
-
-    sites: tuple[int, ...]
-    rotations: int
-
-    @property
-    def length(self) -> int:
-        return len(self.sites)
-
-
-def minimal_period(sites: Sequence[int]) -> int:
-    """Smallest p with sites[i] == sites[(i+p) % n] for all i; divides n."""
-    n = len(sites)
-    for p in range(1, n + 1):
-        if n % p == 0 and all(sites[i] == sites[(i + p) % n] for i in range(n)):
-            return p
-    raise AssertionError("unreachable: n is always a period")
-
-
-def canonicalize(loop: RootedLoop) -> UnrootedLoop:
-    sites = loop.sites
-    n = len(sites)
-    best = min(sites[k:] + sites[:k] for k in range(n))
-    return UnrootedLoop(sites=best, rotations=minimal_period(sites))
-
-
-def loop_weight(q: WeightMatrix, loop: RootedLoop) -> complex:
-    """Product of edge weights around the cycle, closing step included."""
-    return complex(block_weights(q, np.array([loop.sites]))[0])
-
-
-def loop_measure(q: WeightMatrix, loop: RootedLoop) -> complex:
-    return loop_weight(q, loop) / loop.length
-
-
-def unrooted_loop_measure(q: WeightMatrix, uloop: UnrootedLoop) -> complex:
-    """Sum of the rooted measure over the class: d * Q(loop) / n."""
-    return uloop.rotations * loop_weight(q, RootedLoop(uloop.sites)) / uloop.length
-
-
-def perturbed_loop_measure(
-    q: WeightMatrix, f: Sequence[complex], loop: RootedLoop
-) -> complex:
-    """m(loop) divided by prod(1 + f(x)) over the visited sites.
-
-    Equals the plain loop measure of the row-rescaled matrix Q / (1 + f).
-    """
-    vals = np.asarray(f, dtype=np.complex128)
-    discount = np.prod(1.0 / (1.0 + vals[list(loop.sites)]))
-    return loop_measure(q, loop) * complex(discount)
-
-
-def local_times(loop: RootedLoop, n_sites: int) -> np.ndarray:
-    """Visit counts per site, one count per step of the loop."""
-    return np.bincount(np.asarray(loop.sites), minlength=n_sites)
-
-
-def _prefix_walk(support, max_len, start, extend, *, lowest=False):
-    """Depth-first walk over the supported paths x_0..x_d from every root.
+def prefix_walk(support, max_len, start, extend):
+    """Depth-first walk over the supported paths x_0..x_d that never step
+    below their root x_0, from every root.
 
     Yields (root, d, sites, carried) per chunk of at most 1024 paths of d
     steps, ``sites`` being their x_d and ``carried`` a tuple of arrays with
     one column per path: ``start(root)`` at d = 0, and then
     ``extend(root, carried, parent, edge, sites)`` for the paths that take
     steps ``edge`` (indices into ``np.nonzero(support)``) from columns
-    ``parent``.  With ``lowest`` a path never steps below its root.  A path
-    that cannot return to the root within max_len steps in all is not
+    ``parent``.  A path whose x_d steps back to the root closes a loop of
+    d + 1 steps rooted at its lowest site; every such loop is one path.  A
+    path that cannot return to the root within max_len steps in all is not
     extended, and pending chunks wait on a stack, so memory stays
     O(max_len * n * 1024).  Raises TooLarge before the first chunk when
-    more than DEFAULT_BUDGET rooted loops would be produced.
+    more than DEFAULT_BUDGET rooted loops (of any root) have length at
+    most max_len.
     """
     n_sites = len(support)
     # the clamp keeps the saturated path counts within int64
@@ -177,7 +102,7 @@ def _prefix_walk(support, max_len, start, extend, *, lowest=False):
     bounds = np.searchsorted(last, np.arange(n_sites + 1))
     degree = np.diff(bounds)
     for root in np.flatnonzero(back.diagonal() <= max_len):
-        steps_left = np.where(lowest & (nxt < root), max_len + 1, back[nxt, root])
+        steps_left = np.where(nxt < root, max_len + 1, back[nxt, root])
         stack = [(0, np.array([root]), start(root))]
         while stack:
             depth, sites, carried = stack.pop()
@@ -193,46 +118,9 @@ def _prefix_walk(support, max_len, start, extend, *, lowest=False):
             parent, edge = parent[keep], edge[keep]
             sites = nxt[edge]
             carried = extend(root, carried, parent, edge, sites)
-            for lo in reversed(range(0, len(edge), _BLOCK_ROWS)):
-                chunk = slice(lo, lo + _BLOCK_ROWS)
+            for lo in reversed(range(0, len(edge), _CHUNK_PATHS)):
+                chunk = slice(lo, lo + _CHUNK_PATHS)
                 stack.append((depth + 1, sites[chunk], tuple(a[..., chunk] for a in carried)))
-
-
-def loop_blocks(q: WeightMatrix, max_len: int) -> Iterator[np.ndarray]:
-    """All rooted loops of length <= max_len with nonzero steps, in blocks.
-
-    Yields (k, n) int arrays of 1 <= k <= 1024 loops of one length n, one
-    loop's sites per row: the paths of one chunk of the prefix walk that
-    close.  Every loop comes once, in a fixed order that is root-major and
-    depth-first, not length-major.  Raises TooLarge before building any
-    block when more than DEFAULT_BUDGET loops would be produced.
-    """
-    support = q.support()
-
-    def extend(root, carried, parent, edge, sites):
-        return (np.vstack((carried[0][:, parent], sites)),)
-
-    def start(root):
-        return (np.array([[root]]),)
-
-    for root, _, sites, (path,) in _prefix_walk(support, max_len, start, extend):
-        closes = support[sites, root]
-        if closes.any():
-            yield path.T[closes]
-
-
-def block_weights(
-    q: WeightMatrix, block: np.ndarray, reverse: bool = False
-) -> np.ndarray:
-    """Q(loop) for each row of a loop block, closing step included.
-
-    With ``reverse`` each loop is walked backwards from its root, and the
-    edge weights are multiplied in the order that walk takes them.
-    """
-    nxt = np.roll(block, -1, axis=1)
-    if reverse:
-        return q.entries[nxt, block][:, ::-1].prod(axis=1)
-    return q.entries[block, nxt].prod(axis=1)
 
 
 def loop_prefix_sums(
@@ -275,20 +163,12 @@ def loop_prefix_sums(
     def start(root):
         return np.ones((len(walks), 1)), factor[[root]], np.ones(1)
 
-    walk = _prefix_walk(support, max_len, start, extend, lowest=True)
+    walk = prefix_walk(support, max_len, start, extend)
     for root, depth, sites, (weights, disc, visits) in walk:
         loops = weights * (close[:, sites, root] * ((depth + 1) / visits))
         sums[::2, depth] += loops.sum(axis=1)
         sums[1::2, depth] += loops @ disc
     return sums
-
-
-def enumerate_rooted_loops(q: WeightMatrix, max_len: int) -> Iterator[RootedLoop]:
-    """The loops of ``loop_blocks`` one at a time, in the same order:
-    root-major and depth-first, each loop exactly once."""
-    for block in loop_blocks(q, max_len):
-        for sites in block.tolist():
-            yield RootedLoop(tuple(sites))
 
 
 def loop_mass_per_length(q: WeightMatrix, max_len: int) -> np.ndarray:

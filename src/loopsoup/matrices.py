@@ -38,7 +38,6 @@ __all__ = [
     "require_acceptable",
     "det_laplacian",
     "greens_exact",
-    "greens_series",
     "restrict",
     "first_return_weight",
     "perturb",
@@ -183,18 +182,10 @@ class WeightMatrix:
 
 @dataclass(frozen=True)
 class GreensFunction:
-    """Matrix of total path weights between sites.
-
-    ``source`` is either ``"exact_inverse"`` (entries solve (I-Q)G = I) or
-    ``"truncated_series"`` with the truncation length and a certified bound
-    on the max-norm truncation error.
-    """
+    """Matrix of total path weights between sites: entries solve (I-Q)G = I."""
 
     space: StateSpace
     entries: np.ndarray
-    source: str
-    length: int | None = None
-    tail_bound: float | None = None
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.entries, dtype=np.complex128)
@@ -276,7 +267,7 @@ def greens_exact(q: WeightMatrix) -> GreensFunction:
     """G = (I - Q)^{-1} by LU with partial pivoting."""
     require_acceptable(q)
     g = _lu_solve(np.eye(q.n) - q.entries, np.eye(q.n))
-    return GreensFunction(q.space, g, source="exact_inverse")
+    return GreensFunction(q.space, g)
 
 
 def abs_resolvent_tail(m_abs: np.ndarray, power: int, rhs: np.ndarray) -> np.ndarray:
@@ -289,28 +280,6 @@ def abs_resolvent_tail(m_abs: np.ndarray, power: int, rhs: np.ndarray) -> np.nda
     """
     resolvent_rhs = np.linalg.solve(np.eye(len(m_abs)) - m_abs, rhs)
     return np.linalg.matrix_power(m_abs, power) @ resolvent_rhs
-
-
-def greens_series(q: WeightMatrix, length: int) -> GreensFunction:
-    """Partial Neumann sum sum_{j<=length} Q^j with a certified tail bound.
-
-    The tail bound is the largest entry of the exact remainder of the
-    series of |Q|, |Q|^(length+1) (I - |Q|)^{-1}, which dominates the
-    remainder of the series of Q entrywise for any acceptable Q, normal or
-    not.
-    """
-    if length < 0:
-        raise ValueError("length must be >= 0")
-    require_acceptable(q)
-    acc = np.eye(q.n, dtype=np.complex128)
-    power = np.eye(q.n, dtype=np.complex128)
-    for _ in range(length):
-        power = power @ q.entries
-        acc += power
-    tail = float(np.max(abs_resolvent_tail(np.abs(q.entries), length + 1, np.eye(q.n))))
-    return GreensFunction(
-        q.space, acc, source="truncated_series", length=length, tail_bound=tail
-    )
 
 
 def restrict(q: WeightMatrix, labels: Sequence[str]) -> WeightMatrix:

@@ -30,6 +30,7 @@ import numpy as np
 
 from .errors import (
     BranchError,
+    InvalidMatrix,
     InvalidPath,
     InvalidShape,
     NotPositive,
@@ -37,7 +38,7 @@ from .errors import (
     TooLarge,
 )
 from .loops import RootedLoop, TruncatedMass, exp_truncated, loop_prefix_sums
-from .loops import loop_mass_per_length, mass_tail
+from .loops import mass_tail
 from .matrices import (
     WeightMatrix,
     _lu_solve,
@@ -61,7 +62,6 @@ __all__ = [
     "nu_transform_closed",
     "trivial_transform_closed",
     "rho_transform_closed",
-    "variation_bound_alpha",
     "LoopSumCheck",
     "reversal_symmetrization_check",
     "occupation_transform_loop_check",
@@ -355,20 +355,23 @@ def nu_transform_closed(q: WeightMatrix, f: Sequence[complex], t: complex) -> co
     when f = 0.  Along it the ratio is prod_x (1 + s f(x)) / prod_i (1 + s
     nu_i), nu being the eigenvalues of G diag(f): its argument is sum
     Arg(1 + f(x)) - sum Arg(1 + nu_i), its modulus that of the full ratio.
-    f is set to 0 first at sites no loop visits, where the two factors
-    cancel.  BranchError is raised when a factor's segment [1, 1 + z]
-    passes within 1e-9 of 0, a zero or pole of the ratio.
+    f is set to 0 first, for every t, at sites no loop visits: there the
+    ratio does not depend on f, so 1 + f = 0 is no pole.  BranchError is
+    raised when a factor's segment [1, 1 + z] passes within 1e-9 of 0, a
+    zero or pole of the ratio.
     """
     vec = np.asarray(f, dtype=np.complex128)
-    base = det_laplacian(q)
-    ratio_full = base / lu_det(np.eye(q.n) - perturb(q, vec).entries)
-    if _is_integer(t):
-        return complex(ratio_full ** int(round(complex(t).real)))
+    if vec.shape != (q.n,):
+        raise InvalidMatrix("f must assign one value per site")
     # a site is on a loop when it reaches itself in 1..n steps
     reach = q.support()
     for _ in range(q.n.bit_length()):
         reach = reach | reach @ reach
     vec = np.where(reach.diagonal(), vec, 0.0)
+    base = det_laplacian(q)
+    ratio_full = base / lu_det(np.eye(q.n) - perturb(q, vec).entries)
+    if _is_integer(t):
+        return complex(ratio_full ** int(round(complex(t).real)))
     nu = np.linalg.eigvals(_lu_solve(np.eye(q.n) - q.entries, np.diag(vec)))
     z = np.concatenate((vec, nu))
     # the point of each segment 1 + s z, s in [0, 1], nearest to 0
@@ -393,23 +396,7 @@ def rho_transform_closed(q: WeightMatrix, f: Sequence[complex], t: complex) -> c
     return nu_transform_closed(q, f, t) * trivial_transform_closed(f, t)
 
 
-# --- complex-weight soup bounds and the reversal identity --------------------
-
-
-def variation_bound_alpha(
-    q: WeightMatrix, intensity: float, max_len: int
-) -> tuple[float, float]:
-    """exp(t * sum over loops of (|m| - Re m)), truncated, with a bound.
-
-    Returns (alpha, slack) where the untruncated alpha lies within a factor
-    exp(slack) of the returned value.  For nonnegative weights alpha is
-    exactly one.  This is the total variation of the complex soup "law"
-    relative to the probability soup of the absolute weights.
-    """
-    require_acceptable(q)
-    abs_mass = loop_mass_per_length(WeightMatrix(q.space, np.abs(q.entries)), max_len)
-    exponent = float((abs_mass - loop_mass_per_length(q, max_len)).real.sum())
-    return math.exp(intensity * exponent), 2.0 * intensity * mass_tail(q.entries, max_len)
+# --- the literal loop sums and the reversal identity ------------------------
 
 
 @dataclass(frozen=True)

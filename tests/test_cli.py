@@ -213,8 +213,9 @@ class TestVerifyCommand:
         ):
             assert abs(by_name[name]["value"] - value) <= 1e-15
             assert abs(by_name[name]["bound"] - bound) <= 1e-15
-        # the largest error over the loops of loop_blocks, whatever their order
-        assert by_name["pushforward-per-loop"]["value"] == 1.828559098217032e-18
+        # the largest error over the lowest-site paths of loops.prefix_walk,
+        # whatever their order
+        assert by_name["pushforward-per-loop"]["value"] == 2.3129646346357427e-18
         assert by_name["pushforward-per-loop"]["bound"] == 1e-10
 
     def test_extra_fixture_is_checked(self, tmp_path, capsys):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from loopsoup import gff
 from loopsoup import soup as sp
@@ -20,26 +22,50 @@ from loopsoup.fixtures import (
     random_symmetric_positive,
     two_state,
 )
-from loopsoup.loops import block_weights, loop_blocks
 from loopsoup.matrices import WeightMatrix, greens_exact, lu_det
 from loopsoup.rng import substream
+from oracles import block_weights, loop_blocks
 
 
-def per_loop_pushforward(q, max_len):
-    """Oracle: the pushforward error summed over one loop's lifts at a time."""
-    doubled = gff.double_weights(q).entries.real
+def per_loop_pushforward(q, max_len, doubled):
+    """Oracle: the pushforward error of every literal rooted loop, its
+    2^n lifts through ``doubled`` weighed one at a time."""
     worst = 0.0
-    for block in loop_blocks(q, max_len):
+    for block in loop_blocks(q.support(), max_len):
         n = block.shape[1]
         lifts = (np.arange(2**n)[:, None] >> np.arange(n)) & 1
-        expect = (block_weights(q, block) + block_weights(q, block, reverse=True)) / n
-        for sites, want in zip(block, expect):
+        both = block_weights(q.entries, block) + block_weights(q.entries, block, reverse=True)
+        for sites, want in zip(block, both / n):
             idx = sites[None, :] + lifts * q.n
             w = np.ones(2**n)
             for j in range(n):
                 w *= doubled[idx[:, j], idx[:, (j + 1) % n]]
             worst = max(worst, abs(w.sum() / n - want))
     return worst
+
+
+def _lift_through(monkeypatch, doubled):
+    """Make the pushforward check lift through the given doubled entries."""
+    labels = [f"d{i}" for i in range(len(doubled))]
+    monkeypatch.setattr(
+        gff, "double_weights", lambda q: WeightMatrix.from_entries(labels, doubled)
+    )
+
+
+@st.composite
+def _hermitian_inputs(draw):
+    """Hermitian weights on 1-4 sites with 0-60% of the pairs off the
+    support, scaled to rho(|Q|) = 0.6 so that the doubled matrix, whose
+    rho is at most sqrt(2) times that, stays acceptable."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    a = rng.uniform(-1.0, 1.0, (n, n)) + 1j * rng.uniform(-1.0, 1.0, (n, n))
+    a[rng.uniform(size=(n, n)) < draw(st.floats(min_value=0.0, max_value=0.6))] = 0.0
+    a = np.triu(a, 1) + np.diag(a.diagonal().real)
+    a = a + np.triu(a, 1).conj().T
+    radius = np.max(np.abs(np.linalg.eigvals(np.abs(a))))
+    assume(radius > 0)
+    return WeightMatrix.from_entries([f"s{i}" for i in range(n)], 0.6 * a / radius)
 
 
 class TestGFFModel:
@@ -223,11 +249,31 @@ class TestPushforward:
         "n, max_len, seed",
         [(2, 8, 421), (2, 7, 422), (3, 6, 423), (3, 5, 424), (4, 4, 425), (4, 5, 426)],
     )
-    def test_block_lift_sums_match_per_loop_sums(self, n, max_len, seed):
-        # each loop's lifts are multiplied and summed in the same order, so
-        # the whole-block arrays give the per-loop result bit for bit
+    def test_block_lift_sums_match_per_loop_sums(self, n, max_len, seed, monkeypatch):
+        # through a doubled matrix off by noise every loop's error is of
+        # order one, so the 2x2 transfer traces of one rooting per class
+        # must reproduce the per-loop lift sums of every rooted loop
         q = random_hermitian(n, 0.6, seed=seed)
-        assert gff.pushforward_loop_check(q, max_len) == per_loop_pushforward(q, max_len)
+        noise = 0.1 * np.random.default_rng(seed).uniform(-1.0, 1.0, (2 * n, 2 * n))
+        doubled = gff.double_weights(q).entries.real + noise
+        want = per_loop_pushforward(q, max_len, doubled)
+        _lift_through(monkeypatch, doubled)
+        assert want > 1e-3
+        assert gff.pushforward_loop_check(q, max_len) == pytest.approx(want, rel=1e-12)
+
+    @given(_hermitian_inputs(), st.integers(min_value=1, max_value=8))
+    @settings(max_examples=60, deadline=None)
+    def test_identity_holds_on_random_hermitian(self, q, max_len):
+        assert gff.pushforward_loop_check(q, max_len) <= 1e-13
+
+    def test_sign_flipped_im_block_is_caught(self, monkeypatch):
+        # [[Re, -Im], [-Im, Re]] is no complex representation: its lift sums
+        # are not 2 Re Q(loop)
+        q = random_hermitian(3, 0.55, seed=411)
+        doubled = gff.double_weights(q).entries.real.copy()
+        doubled[q.n:, : q.n] *= -1
+        _lift_through(monkeypatch, doubled)
+        assert gff.pushforward_loop_check(q, 8) > 1e-3
 
     def test_transform_identity(self):
         for q in (hermitian_pair(), random_hermitian(3, 0.55, seed=420)):

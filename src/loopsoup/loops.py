@@ -78,22 +78,19 @@ def prefix_walk(support, max_len, start, extend):
     steps ``edge`` (indices into ``np.nonzero(support)``) from columns
     ``parent``.  A path whose x_d steps back to the root closes a loop of
     d + 1 steps rooted at its lowest site; every such loop is one path.  A
-    path that cannot return to the root within max_len steps in all is not
-    extended, and pending chunks wait on a stack, so memory stays
-    O(max_len * n * 1024).  Raises TooLarge before the first chunk when
-    more than DEFAULT_BUDGET rooted loops (of any root) have length at
-    most max_len.
+    path that cannot return to the root over sites >= root within max_len
+    steps in all is not extended, nor is a root with no such loop, and
+    pending chunks wait on a stack, so memory stays O(max_len * n * 1024).
+    Raises TooLarge before the first chunk when more than DEFAULT_BUDGET
+    rooted loops (of any root) have length at most max_len.
     """
     n_sites = len(support)
     # the clamp keeps the saturated path counts within int64
     budget = min(DEFAULT_BUDGET, 2**62 // n_sites**3)
     steps = support.astype(np.int64)
     paths, total = np.eye(n_sites, dtype=np.int64), 0
-    # back[x, r]: fewest steps k >= 1 from x to r, max_len + 1 past max_len
-    back = np.full((n_sites, n_sites), max_len + 1)
     for k in range(1, max_len + 1):
         paths = np.minimum(steps @ paths, budget + 1)
-        back[(paths > 0) & (back > max_len)] = k
         total += int(paths.trace())
         if total > budget:
             raise TooLarge(f"loop enumeration exceeded budget of {budget}")
@@ -101,8 +98,19 @@ def prefix_walk(support, max_len, start, extend):
     # the steps leaving site x are bounds[x]:bounds[x + 1] of (last, nxt)
     bounds = np.searchsorted(last, np.arange(n_sites + 1))
     degree = np.diff(bounds)
+    # back[r, x]: fewest steps k >= 1 from x to r over the sites >= r, by a
+    # breadth-first search from every root at once; max_len + 1 past max_len
+    above = np.triu(np.ones((n_sites, n_sites), dtype=bool))
+    back = np.full((n_sites, n_sites), max_len + 1)
+    reach = (steps.T > 0) & above
+    for k in range(1, max_len + 1):
+        reach &= back > max_len
+        if not reach.any():
+            break
+        back[reach] = k
+        reach = (reach @ steps.T > 0) & above
     for root in np.flatnonzero(back.diagonal() <= max_len):
-        steps_left = np.where(nxt < root, max_len + 1, back[nxt, root])
+        steps_left = back[root, nxt]
         stack = [(0, np.array([root]), start(root))]
         while stack:
             depth, sites, carried = stack.pop()

@@ -20,11 +20,11 @@ part per site.  Closed Laplace transforms come from determinant ratios.
 
 from __future__ import annotations
 
-import bisect
 import math
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -162,8 +162,10 @@ class SoupSampler:
     continuous field without building its loops.  It consumes the stream
     exactly as ``sample`` followed by ``discrete_occupation`` and
     ``continuous_occupation`` does: the Poisson count, each loop's bridge
-    walk, then one gamma per site in site order.  So both give the same
-    values, bit for bit, and leave the stream at the same place.
+    walk, then one gamma per site in site order.  A Gamma(0) draw uses no
+    uniform and is 0, so a site with no visits and no trivial part gets 0
+    without a call.  So both give the same values, bit for bit, and leave
+    the stream at the same place.
     """
 
     def __init__(self, q: WeightMatrix, intensity: float) -> None:
@@ -209,15 +211,14 @@ class SoupSampler:
             if self._tail_after(len(self._length_cum)) < 1e-17:
                 return len(self._length_cum)  # u sits in fp slack; clamp
             self._extend_tables()
-        return bisect.bisect_left(self._length_cum, u) + 1
+        return bisect_left(self._length_cum, u) + 1
 
     def _sites(self, rng: np.random.Generator) -> list[int]:
-        n = self._draw_length(float(rng.random()))
-        while len(self._powers) <= n:
-            self._extend_tables()
+        # _draw_length extends the powers with the length law, so Q^(n-1) is there
         random, width = rng.random, self.n_sites
+        n = self._draw_length(random())
         last = width - 1
-        root = min(bisect.bisect_left(self._root_cum[n - 1], random()), last)
+        root = min(bisect_left(self._root_cum[n - 1], random()), last)
         sites = [root]
         current = root
         bridge = self._bridge[root]
@@ -230,7 +231,7 @@ class SoupSampler:
                 if self._bridge_rows < self._bridge_cap:
                     bridge[m * width + current] = row
                     self._bridge_rows += 1
-            current = min(bisect.bisect_left(row, random() * row[-1], 0, width), last)
+            current = min(bisect_left(row, random() * row[-1], 0, width), last)
             sites.append(current)
         return sites
 
@@ -247,12 +248,23 @@ class SoupSampler:
     ) -> tuple[list[int], list[float]]:
         """One soup's visit counts and continuous field, as lists per site."""
         _require_shape(trivial_shape)
-        counts = [0] * self.n_sites
-        for _ in range(int(rng.poisson(self.intensity * self.total_mass))):
-            for site in self._sites(rng):
-                counts[site] += 1
-        gamma = rng.gamma
-        return counts, [gamma(c + trivial_shape) for c in counts]
+        return next(self._occupations((rng,), trivial_shape))
+
+    def _occupations(
+        self, rngs: Iterable[np.random.Generator], trivial_shape: float
+    ) -> Iterator[tuple[list[int], list[float]]]:
+        # one soup's (counts, field) per generator, the shape checked by the caller
+        sites, width = self._sites, self.n_sites
+        rate = self.intensity * self.total_mass
+        for rng in rngs:
+            counts = [0] * width
+            for _ in range(rng.poisson(rate)):
+                for site in sites(rng):
+                    counts[site] += 1
+            gamma = rng.gamma
+            yield counts, [
+                gamma(c + trivial_shape) if c or trivial_shape else 0.0 for c in counts
+            ]
 
 
 def _require_shape(trivial_shape: float) -> None:
@@ -307,16 +319,21 @@ def sample_occupation_fields(
     """n_samples continuous occupation fields, one substream per sample.
 
     Row i is drawn from substream(seed, start_index + i), so any slice of
-    samples can be reproduced independently of the rest.
+    samples can be reproduced independently of the rest.  Row i is
+    ``SoupSampler.occupation`` on that substream, bit for bit, from the
+    same row body, run here as one loop: ``Substreams.over`` re-seeks one
+    generator per row after checking the index range once, the trivial
+    shape (0 or the checked intensity) needs no check per row, and each
+    row's values go straight into one flat buffer.
     """
     if n_samples < 0:
         raise ValueError(f"n_samples must be nonnegative, got {n_samples}")
     sampler = SoupSampler(q, intensity)
     shape_add = intensity if trivial else 0.0
-    streams = Substreams(seed)
+    rngs = Substreams(seed).over(range(start_index, start_index + n_samples))
     flat = array("d")
-    for i in range(n_samples):
-        flat.extend(sampler.occupation(streams(start_index + i), shape_add)[1])
+    for _, values in sampler._occupations(rngs, shape_add):
+        flat.extend(values)
     return np.frombuffer(flat).reshape(n_samples, q.n)
 
 
@@ -333,9 +350,27 @@ class TransformEstimate:
 
 
 def empirical_transform(fields: np.ndarray, f: Sequence[complex]) -> TransformEstimate:
+    """Sample mean of exp(-<f, field>) over the rows of ``fields``.
+
+    The contraction is an ``einsum``, not ``fields @ f``: a product of many
+    rows with a few columns would go to a BLAS gemv, whose helper threads
+    wake up and then spin on the other cores well after the call returns.
+
+    Raises ValueError unless ``fields`` is 2-D with at least one row and
+    ``f`` has one value per column.
+    """
     fields = np.asarray(fields)
     vec = np.asarray(f, dtype=np.complex128)
-    values = np.exp(-(fields @ vec))
+    if fields.ndim != 2:
+        raise ValueError(f"fields must be 2-D, one row per sample; got {fields.ndim}-D")
+    if len(fields) == 0:
+        raise ValueError("fields has no rows: a transform needs at least one sample")
+    if vec.shape != fields.shape[1:]:
+        raise ValueError(
+            f"f must be one value per column of fields ({fields.shape[1]}), "
+            f"got shape {vec.shape}"
+        )
+    values = np.exp(-np.einsum("ij,j->i", fields, vec))
     mean = complex(values.mean())
     n = len(values)
     stderr = float(np.sqrt((np.abs(values - mean) ** 2).mean() / n))

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -42,6 +42,9 @@ _MAX_ENUM_VERTICES = 8
 
 # a Wilson sample walking more steps than this in total is refused
 _MAX_WILSON_STEPS = 10**8
+
+# the fewest uniforms ``WilsonSampler.trees`` draws at once
+_WILSON_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -270,15 +273,24 @@ class WilsonSampler:
     retracing those pointers from the start gives the walk's chronological
     loop erasure (Wilson 1996), so the walk itself is never stored.
 
-    Each walk step consumes exactly one uniform, and ``sample`` draws
-    nothing else from ``rng``.  The uniforms come in ``rng.random(k)``
-    blocks that are never overdrawn: when a block runs dry at a vertex
-    outside the tree, k is 1 plus the number of vertices outside the tree
-    that this walk has not yet visited.  The current vertex needs its next
-    step, and each of those vertices still needs its own last exit, so every
-    uniform drawn is used.  A tree drawn from a fresh substream therefore
-    depends only on that stream, and a generator shared across calls
-    advances by the steps actually walked.
+    Each walk step consumes exactly one uniform, and nothing else is drawn.
+    ``sample(rng)`` draws its uniforms in ``rng.random(k)`` blocks that are
+    never overdrawn: when a block runs dry at a vertex outside the tree, k
+    is 1 plus the number of vertices outside the tree that this walk has not
+    yet visited.  The current vertex needs its next step, and each of those
+    vertices still needs its own last exit, so every uniform drawn is used.
+    A tree drawn from a fresh substream therefore depends only on that
+    stream, and a generator shared across calls advances by the steps
+    actually walked.
+
+    ``trees(rng, count)`` streams ``count`` trees off one generator, walking
+    the same uniforms in the same order, so it yields exactly the trees that
+    ``count`` calls of ``sample(rng)`` return.  It draws them in blocks of
+    at least 1024, carried over from one tree to the next, which spares a
+    call into the generator per few steps on a small graph.  It leaves
+    ``rng`` past the end of its last block, not just past the last uniform
+    used, so a stream that must go on where the trees stopped takes
+    ``sample`` instead.
     """
 
     def __init__(self, graph: SimpleGraph, root: int = 0) -> None:
@@ -292,46 +304,59 @@ class WilsonSampler:
         self._degrees = [len(a) for a in self._adj]
 
     def sample(self, rng: np.random.Generator) -> Tree:
+        (tree,) = self._walks(rng, 1, 0)
+        return tree
+
+    def trees(self, rng: np.random.Generator, count: int) -> Iterator[Tree]:
+        if count < 0:
+            raise ValueError(f"count must be nonnegative, got {count}")
+        return self._walks(rng, count, _WILSON_BLOCK)
+
+    def _walks(self, rng: np.random.Generator, count: int, block: int) -> Iterator[Tree]:
+        # a dry block is refilled with max(block, k) uniforms, k the fewest
+        # this walk can use: block 0 draws exactly the uniforms walked
         adj, degrees, random = self._adj, self._degrees, rng.random
         max_steps = _MAX_WILSON_STEPS
         n = self.n
-        in_tree = [False] * n
-        in_tree[self.root] = True
-        succ = [0] * n
-        walk_of = [-1] * n  # the start of the last walk that visited a vertex
-        outside = n - 1  # vertices not yet in the tree
         uniforms: list[float] = []
         used = 0
-        edges: list[tuple[int, int]] = []
-        steps = 0
-        for v in range(n):
-            if in_tree[v]:
-                continue
-            walk_of[v] = v
-            visited = 1  # vertices outside the tree this walk has visited
-            node = v
-            while not in_tree[node]:
-                steps += 1
-                if steps > max_steps:
-                    raise NumericalFailure("Wilson walk exceeded the step backstop")
-                if used == len(uniforms):
-                    uniforms = random(1 + outside - visited).tolist()
-                    used = 0
-                nxt = adj[node][int(uniforms[used] * degrees[node])]
-                used += 1
-                succ[node] = nxt
-                if walk_of[nxt] != v and not in_tree[nxt]:
-                    walk_of[nxt] = v
-                    visited += 1
-                node = nxt
-            node = v
-            while not in_tree[node]:
-                in_tree[node] = True
-                outside -= 1
-                nxt = succ[node]
-                edges.append((node, nxt) if node < nxt else (nxt, node))
-                node = nxt
-        return frozenset(edges)
+        for _ in range(count):
+            in_tree = [False] * n
+            in_tree[self.root] = True
+            succ = [0] * n
+            walk_of = [-1] * n  # the start of the last walk that visited a vertex
+            outside = n - 1  # vertices not yet in the tree
+            edges: list[tuple[int, int]] = []
+            steps = 0
+            for v in range(n):
+                if in_tree[v]:
+                    continue
+                walk_of[v] = v
+                visited = 1  # vertices outside the tree this walk has visited
+                node = v
+                while not in_tree[node]:
+                    steps += 1
+                    if steps > max_steps:
+                        raise NumericalFailure("Wilson walk exceeded the step backstop")
+                    if used == len(uniforms):
+                        need = 1 + outside - visited
+                        uniforms = random(need if need > block else block).tolist()
+                        used = 0
+                    nxt = adj[node][int(uniforms[used] * degrees[node])]
+                    used += 1
+                    succ[node] = nxt
+                    if walk_of[nxt] != v and not in_tree[nxt]:
+                        walk_of[nxt] = v
+                        visited += 1
+                    node = nxt
+                node = v
+                while not in_tree[node]:
+                    in_tree[node] = True
+                    outside -= 1
+                    nxt = succ[node]
+                    edges.append((node, nxt) if node < nxt else (nxt, node))
+                    node = nxt
+            yield frozenset(edges)
 
 
 def wilson_sample(

@@ -10,7 +10,14 @@ import scipy.stats
 
 import loopsoup
 from loopsoup import fixtures as fx
-from loopsoup.cli import CheckReport, RunConfig, _chisquare_uniform_pvalue, main
+from loopsoup import spanning
+from loopsoup.cli import (
+    CheckReport,
+    RunConfig,
+    _chisquare_uniform_pvalue,
+    _wilson_tree_counts,
+    main,
+)
 from loopsoup.rng import SEED_ENV_VAR
 
 
@@ -315,6 +322,26 @@ class TestMcCommand:
             "squared-field-moments": 0.7543687275168115,
             "complex-field-covariance": 0.5241377132275525,
         }
+
+    @pytest.mark.parametrize(
+        "doc, block, counts",
+        [
+            (fx.complete_graph(3), 1, [1944, 2012, 2044]),
+            (
+                fx.complete_graph(4),
+                2,
+                [385, 387, 374, 346, 371, 386, 396, 372,
+                 349, 381, 380, 367, 354, 397, 373, 382],
+            ),
+        ],
+        ids=["k3", "k4"],
+    )
+    def test_wilson_tree_counts_are_pinned(self, doc, block, counts):
+        # the integer counts behind wilson-uniform-k3 and -k4 at seed 42 with
+        # 6000 samples, per tree in enumerate_spanning_trees order; integers,
+        # so they hold on every platform
+        g = spanning.SimpleGraph.from_json_dict(doc)
+        assert _wilson_tree_counts(g, 42, block, 6000) == counts
 
     def test_config_file_drives_run(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "cfg.json", {"seed": 8, "samples": 150})

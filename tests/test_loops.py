@@ -41,6 +41,18 @@ def _closing_paths(support, max_len):
     ]
 
 
+def _fewest_steps_back(support, root, max_len):
+    """Fewest steps k >= 1 from each site x >= root back to the root over
+    the sites >= root, indexed by x - root; max_len + 1 past max_len."""
+    sub = support[root:, root:].astype(np.int64)
+    reach = np.eye(len(sub), dtype=np.int64)
+    out = np.full(len(sub), max_len + 1)
+    for k in range(1, max_len + 1):
+        reach = np.minimum(sub @ reach, 1)
+        out[(reach[:, 0] > 0) & (out > max_len)] = k
+    return out
+
+
 def _literal_loops(support, max_len):
     return [tuple(row) for block in loop_blocks(support, max_len) for row in block.tolist()]
 
@@ -207,6 +219,32 @@ class TestLoopBlocks:
         assert len(set(closing)) == len(closing)
         want = [p for p in _literal_loops(support, max_len) if p[0] == min(p)]
         assert sorted(closing) == sorted(want)
+
+    @_SUPPORT_CASES
+    def test_every_path_can_still_close(self, entries, max_len):
+        # a path of d steps is yielded only if it can step back to its root
+        # within max_len - d more steps without going below the root
+        support = np.asarray(entries) != 0
+        roots = set()
+        for root, depth, sites, _ in lp.prefix_walk(
+            support, max_len, lambda root: (), lambda *args: ()
+        ):
+            back = _fewest_steps_back(support, root, max_len)
+            assert np.all(depth + back[sites - root] <= max_len)
+            roots.add(int(root))
+        n = len(support)
+        assert roots == {
+            r for r in range(n) if _fewest_steps_back(support, r, max_len)[0] <= max_len
+        }
+
+    def test_roots_that_close_only_through_lower_sites_are_skipped(self):
+        # on roots-without-loops every loop passes site 0: roots 1-3 reach
+        # themselves only through it, so they yield no chunk at all
+        support = np.array(
+            [[0, 0.4, 0, 0], [0, 0, 0.4, 0], [0.3, 0, 0, 0.3], [0.4, 0, 0, 0]]
+        ) != 0
+        roots = [root for root, *_ in _walk_paths(support, 12)]
+        assert set(roots) == {0}
 
     def test_budget_refused_before_any_block(self):
         q = mx.WeightMatrix.from_entries(("a", "b", "c"), np.full((3, 3), 0.1))

@@ -581,6 +581,28 @@ class TestEmpiricalTransform:
         big = sp.empirical_transform(fields, [0.5])
         assert big.stderr < small.stderr
 
+    def test_matches_the_matrix_product(self):
+        fields = substream(8).exponential(size=(6000, 3))
+        f = np.array([0.2, 0.5 + 0.1j, 1.0])
+        values = np.exp(-(fields @ f))
+        est = sp.empirical_transform(fields, f)
+        assert est.n_samples == 6000
+        assert abs(est.value - values.mean()) <= 1e-15 * np.abs(values).mean()
+
+    @pytest.mark.parametrize("fields", [np.ones(5), np.ones((2, 3, 2))], ids=["1-D", "3-D"])
+    def test_refuses_fields_that_are_not_2d(self, fields):
+        with pytest.raises(ValueError, match="2-D"):
+            sp.empirical_transform(fields, [0.5, 0.5])
+
+    def test_refuses_fields_without_rows(self):
+        with pytest.raises(ValueError, match="no rows"):
+            sp.empirical_transform(np.empty((0, 2)), [0.5, 0.5])
+
+    @pytest.mark.parametrize("f", [[0.5], [0.5, 0.5, 0.5], [[0.5, 0.5]]])
+    def test_refuses_f_of_the_wrong_length(self, f):
+        with pytest.raises(ValueError, match=r"one value per column of fields \(2\)"):
+            sp.empirical_transform(np.ones((4, 2)), f)
+
 
     def test_loop_check_holds(self):
         q = random_acceptable(3, 0.5, seed=301, complex_entries=True)

@@ -255,3 +255,89 @@ class TestWilson:
         t1 = [sp.wilson_sample(g, substream(55, k)) for k in range(10)]
         t2 = [sp.wilson_sample(g, substream(55, k)) for k in range(10)]
         assert t1 == t2
+
+
+def torus_graph(side: int) -> dict:
+    """The side x side torus, each vertex joined to its four grid neighbors."""
+    at = {(i, j): i * side + j for i in range(side) for j in range(side)}
+    edges = {
+        tuple(sorted((at[i, j], at[(i + di) % side, (j + dj) % side])))
+        for (i, j) in at
+        for di, dj in ((0, 1), (1, 0))
+    }
+    return {"vertices": [f"v{k}" for k in range(side * side)], "edges": sorted(edges)}
+
+
+class CountingStream:
+    """A generator's ``random`` that records the size of every block drawn."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self.blocks: list[int] = []
+
+    def random(self, size=None):
+        self.blocks.append(size)
+        return self._rng.random(size)
+
+
+class TestWilsonTrees:
+    @pytest.mark.parametrize(
+        "doc, root, count",
+        [
+            (complete_graph(3), 0, 3000),
+            (complete_graph(4), 1, 1500),
+            (torus_graph(6), 0, 60),
+            (random_connected_graph(10, 8, seed=64), 7, 400),
+        ],
+        ids=["k3", "k4", "torus-6x6", "random-10"],
+    )
+    def test_streams_the_trees_of_repeated_sample(self, doc, root, count):
+        sampler = sp.WilsonSampler(graph(doc), root=root)
+        bulk = CountingStream(substream(64, 5))
+        exact = CountingStream(substream(64, 5))
+        for tree in sampler.trees(bulk, count):
+            assert tree == sampler.sample(exact)
+        assert len(bulk.blocks) >= 2  # at least one block boundary crossed
+        assert all(size >= sp._WILSON_BLOCK for size in bulk.blocks)
+        # a block is drawn only when the last one has run dry
+        steps = sum(exact.blocks)
+        assert sum(bulk.blocks[:-1]) < steps <= sum(bulk.blocks)
+
+    @pytest.mark.parametrize("block", [1, 2, 7])
+    def test_small_blocks_split_walks(self, monkeypatch, block):
+        # blocks smaller than a tree's walk run dry in the middle of walks
+        monkeypatch.setattr(sp, "_WILSON_BLOCK", block)
+        g = graph(random_connected_graph(8, 6, seed=12))
+        sampler = sp.WilsonSampler(g, root=3)
+        b = substream(65)
+        assert list(sampler.trees(substream(65), 50)) == [sampler.sample(b) for _ in range(50)]
+
+    def test_is_a_stream(self):
+        sampler = sp.WilsonSampler(graph(complete_graph(4)))
+        bulk = CountingStream(substream(66))
+        trees = sampler.trees(bulk, 10**12)
+        assert bulk.blocks == []  # nothing is drawn before the first tree
+        first = [next(trees) for _ in range(10)]
+        assert bulk.blocks == [sp._WILSON_BLOCK]
+        b = substream(66)
+        assert first == [sampler.sample(b) for _ in range(10)]
+
+    def test_no_trees(self):
+        sampler = sp.WilsonSampler(graph(complete_graph(4)))
+        bulk = CountingStream(substream(67))
+        assert list(sampler.trees(bulk, 0)) == []
+        assert bulk.blocks == []
+        with pytest.raises(ValueError, match="count"):
+            sampler.trees(bulk, -1)
+
+    def test_step_backstop(self, monkeypatch):
+        # rooted at the hub, a 5-leaf star takes exactly 5 walk steps per tree
+        star = graph(
+            {"vertices": [f"v{i}" for i in range(6)], "edges": [[0, j] for j in range(1, 6)]}
+        )
+        sampler = sp.WilsonSampler(star)
+        monkeypatch.setattr(sp, "_MAX_WILSON_STEPS", 5)
+        assert len(list(sampler.trees(substream(62), 3))) == 3
+        monkeypatch.setattr(sp, "_MAX_WILSON_STEPS", 4)
+        with pytest.raises(NumericalFailure):
+            next(sampler.trees(substream(62), 3))

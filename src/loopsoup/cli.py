@@ -23,7 +23,6 @@ from collections import Counter
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
-import scipy.special
 
 from . import fixtures as fx
 from . import gff, lerw, loops, soup, spanning
@@ -461,9 +460,44 @@ def _verify_checks(config: RunConfig) -> list[CheckReport]:
 
 
 def _chisquare_uniform_pvalue(counts: np.ndarray) -> float:
-    """Pearson chi-square p-value of ``counts`` against equal cell odds."""
+    """Pearson chi-square p-value of ``counts`` against equal cell odds.
+
+    The tail is the closed form of Abramowitz & Stegun §26.4
+    (``_chi2_survival``). It is NaN where ``scipy.special.chdtrc`` is: at
+    k = 0 degrees of freedom (one cell) and at a NaN statistic (all cells
+    empty).
+    """
     stat = ((counts - counts.mean()) ** 2 / counts.mean()).sum()
-    return float(scipy.special.chdtrc(len(counts) - 1, stat))
+    return _chi2_survival(len(counts) - 1, float(stat))
+
+
+def _chi2_survival(k: int, x: float) -> float:
+    """P(X > x) for X chi-square with k degrees of freedom, in closed form.
+
+    Abramowitz & Stegun §26.4 at integer k, with h = x/2: for even k
+    exp(-h) * sum_{j < k/2} h^j / j!, and for odd k
+    erfc(sqrt(h)) + sqrt(2x/pi) exp(-h) * sum_{r=1}^{(k-1)/2} x^(r-1) / (1*3*...*(2r-1)).
+    Both sums have k // 2 positive terms, each the one before times h / j
+    (even k) or h / (j + 1/2) (odd k), so no power of h overflows however
+    far into the tail x lies. As with ``scipy.special.chdtrc``, a NaN or
+    negative x gives NaN, and so does k < 1 (chdtrc agrees at x = 0, the
+    only statistic one cell can give).
+    """
+    if k < 1 or not x >= 0:
+        return math.nan
+    if x == math.inf:
+        return 0.0
+    half = x / 2
+    if k % 2:
+        p, term, offset = math.erfc(math.sqrt(half)), math.sqrt(2 * x / math.pi), 0.5
+    else:
+        p, term, offset = 0.0, 1.0, 0.0
+    term *= math.exp(-half)
+    for j in range(k // 2):
+        if j:
+            term *= half / (j + offset)
+        p += term
+    return p
 
 
 def _wilson_tree_counts(
@@ -475,6 +509,19 @@ def _wilson_tree_counts(
         spanning.WilsonSampler(g).trees(substream(seed, block * _STREAM_BLOCK), samples)
     )
     return [drawn[t] for t in spanning.enumerate_spanning_trees(g)]
+
+
+def _soup_loop_counts(sampler: soup.SoupSampler, seed: int, samples: int) -> list[int]:
+    """The loop counts of ``samples`` soups, soup i drawn off substream
+    (seed, 3 * _STREAM_BLOCK + i).
+
+    ``SoupSampler.sample`` draws its count first, as one Poisson variate of
+    rate intensity * total mass, and each soup has a fresh substream, so the
+    count is read off that one draw without walking the loops.
+    """
+    lam = sampler.intensity * sampler.total_mass
+    rngs = Substreams(seed).over(range(3 * _STREAM_BLOCK, 3 * _STREAM_BLOCK + samples))
+    return [rng.poisson(lam) for rng in rngs]
 
 
 def _wilson_uniformity(
@@ -512,11 +559,9 @@ def _mc_checks(config: RunConfig) -> list[CheckReport]:
     out.append(_wilson_uniformity(fx.complete_graph(4), "k4", config, block=2))
 
     # loop count is Poisson with rate t * total mass
-    q = fx.two_state()
-    sampler = soup.SoupSampler(q, 1.0)
+    sampler = soup.SoupSampler(fx.two_state(), 1.0)
     lam = sampler.intensity * sampler.total_mass
-    rngs = Substreams(config.seed).over(range(3 * _STREAM_BLOCK, 3 * _STREAM_BLOCK + n))
-    counts = np.array([len(sampler.sample(rng).loops) for rng in rngs], dtype=float)
+    counts = np.array(_soup_loop_counts(sampler, config.seed, n), dtype=float)
     mean_sig = abs(counts.mean() - lam) / math.sqrt(lam / n)
     var_sig = abs(counts.var() - lam) / math.sqrt(2 * lam**2 / n + lam / n)
     out.append(

@@ -23,7 +23,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     AcceptabilityWarning,
@@ -81,9 +80,13 @@ class GFFModel:
         require_acceptable(q)
         g = greens_exact(q).entries.real
         try:
-            chol = scipy.linalg.cholesky(g, lower=True)
-        except scipy.linalg.LinAlgError as exc:
+            chol = np.linalg.cholesky(g)
+        except np.linalg.LinAlgError as exc:
             raise NotPositiveDefinite(f"Green's function is not PD: {exc}") from exc
+        # column-major, so the transpose gff_sample multiplies by is
+        # row-major: the other layout runs a different product kernel, and
+        # the draws of a seed would change in their last bits
+        chol = np.asfortranarray(chol)
         return cls(weights=q, covariance=g, cholesky=chol)
 
     @property

@@ -1,7 +1,9 @@
 import json
+import math
 import os
 import subprocess
 import sys
+from decimal import Decimal, localcontext
 from pathlib import Path
 
 import numpy as np
@@ -10,15 +12,18 @@ import scipy.stats
 
 import loopsoup
 from loopsoup import fixtures as fx
-from loopsoup import spanning
+from loopsoup import soup, spanning
 from loopsoup.cli import (
+    _STREAM_BLOCK,
     CheckReport,
     RunConfig,
+    _chi2_survival,
     _chisquare_uniform_pvalue,
+    _soup_loop_counts,
     _wilson_tree_counts,
     main,
 )
-from loopsoup.rng import SEED_ENV_VAR
+from loopsoup.rng import SEED_ENV_VAR, substream
 
 
 DATA = Path(__file__).parent / "data"
@@ -314,8 +319,8 @@ class TestMcCommand:
         assert main(["mc", "--seed", "42", "--samples", "1000", "--out", str(out)]) == 0
         _, checks = read_report(out)
         assert {c["check"]: c["value"] for c in checks} == {
-            "wilson-uniform-k3": 0.9636761353490534,
-            "wilson-uniform-k4": 0.7078313775198539,
+            "wilson-uniform-k3": 0.9636761353490535,
+            "wilson-uniform-k4": 0.707831377519854,
             "soup-count-law": 0.8604575690243831,
             "occupation-transform-mc": 1.1523725723995513,
             "isomorphism-mc": 2.0141472176966846,
@@ -343,6 +348,17 @@ class TestMcCommand:
         g = spanning.SimpleGraph.from_json_dict(doc)
         assert _wilson_tree_counts(g, 42, block, 6000) == counts
 
+    def test_soup_loop_counts_are_the_sampled_soups(self):
+        # the count law reads each soup's count off its first draw; the
+        # soups themselves have exactly that many loops
+        sampler = soup.SoupSampler(fx.two_state(), 1.0)
+        expected = [
+            len(sampler.sample(substream(42, 3 * _STREAM_BLOCK + i)).loops)
+            for i in range(200)
+        ]
+        assert _soup_loop_counts(sampler, 42, 200) == expected
+        assert sum(expected) > 0
+
     def test_config_file_drives_run(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "cfg.json", {"seed": 8, "samples": 150})
         assert main(["mc", "--config", cfg]) == 3
@@ -362,23 +378,82 @@ class TestMcCommand:
         assert main(["mc", "--config", str(bad)]) == 2
 
 
+def _cli_import_loads(module):
+    # a fresh interpreter, so modules other tests imported do not count
+    src = Path(loopsoup.__file__).resolve().parents[1]
+    code = f"import loopsoup.cli, sys; sys.exit({module!r} in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)}
+    )
+    return proc.returncode != 0
+
+
+def _decimal_chi2_survival(k, x):
+    # exp(-x/2) * sum_{j < k/2} (x/2)^j / j! for even k, at 50 digits
+    with localcontext() as ctx:
+        ctx.prec = 50
+        half = Decimal(x) / 2
+        term, total = Decimal(1), Decimal(0)
+        for j in range(k // 2):
+            if j:
+                term = term * half / j
+            total += term
+        return float((-half).exp() * total)
+
+
 class TestChiSquare:
     @pytest.mark.parametrize(
         "counts",
-        [[3, 3, 3], [1, 0, 4, 2], [1490, 1510, 1555, 1445], [9, 30, 12, 17, 21, 11]],
+        [
+            [3, 3, 3],
+            [1, 0, 4, 2],
+            [1490, 1510, 1555, 1445],
+            [9, 30, 12, 17, 21, 11],
+            # the tree counts behind wilson-uniform-k3 (k = 2) and -k4
+            # (k = 15) at seed 42 with 6000 samples
+            [1944, 2012, 2044],
+            [385, 387, 374, 346, 371, 386, 396, 372, 349, 381, 380, 367, 354, 397, 373, 382],
+            [1, 5],
+            [40, 3, 9, 0, 22],
+            [30, 0, 0],
+            # tails down to p ~ 1e-200: k = 2 (exp(-460)), k = 3 and k = 15
+            [460, 0, 0],
+            [310, 0, 0, 0],
+            [66] + [0] * 15,
+        ],
     )
     def test_pvalue_matches_scipy_stats(self, counts):
         counts = np.asarray(counts, dtype=float)
         expected = float(scipy.stats.chisquare(counts).pvalue)
-        assert _chisquare_uniform_pvalue(counts) == expected
+        assert expected > 1e-201
+        assert _chisquare_uniform_pvalue(counts) == pytest.approx(expected, rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("counts", [[7], [0, 0, 0]], ids=["k0", "nan"])
+    def test_pvalue_is_nan_where_scipy_stats_is(self, counts):
+        # one cell leaves no degree of freedom; empty cells give a 0/0 statistic
+        counts = np.asarray(counts, dtype=float)
+        with np.errstate(invalid="ignore"):
+            assert math.isnan(scipy.stats.chisquare(counts).pvalue)
+            assert math.isnan(_chisquare_uniform_pvalue(counts))
+
+    @pytest.mark.parametrize("k", [2, 4, 6, 8])
+    def test_even_survival_within_4_ulp_of_exact_sum(self, k):
+        for x in (1e-9, 0.5, 7 / 3, 3.0, 17.3, 99.9, 420.0, 920.0, 1400.5):
+            exact = _decimal_chi2_survival(k, x)
+            assert exact > 0
+            assert abs(_chi2_survival(k, x) - exact) <= 4 * math.ulp(exact), (k, x)
+
+    def test_survival_edges(self):
+        assert _chi2_survival(1, 0.0) == _chi2_survival(4, 0.0) == 1.0
+        assert _chi2_survival(3, math.inf) == _chi2_survival(4, math.inf) == 0.0
+        for k, x in ((0, 0.0), (0, 3.0), (-1, 3.0), (2, math.nan), (2, -1.0)):
+            assert math.isnan(_chi2_survival(k, x)), (k, x)
 
     def test_cli_import_leaves_scipy_stats_out(self):
-        src = Path(loopsoup.__file__).resolve().parents[1]
-        code = "import loopsoup.cli, sys; sys.exit('scipy.stats' in sys.modules)"
-        proc = subprocess.run(
-            [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)}
-        )
-        assert proc.returncode == 0
+        assert not _cli_import_loads("scipy.stats")
+
+    def test_cli_import_leaves_scipy_special_out(self):
+        assert not _cli_import_loads("scipy.special")
 
 
 class TestSampleCommand:
@@ -424,6 +499,18 @@ class TestSampleCommand:
         main(["sample", "--what", "tree", *args])
         cut = [[0, 149]] + [[i, i + 1] for i in range(149) if i != 92]
         assert json.loads(out.read_text())["edges"] == sorted(cut)
+
+    def test_gff_records_are_pinned(self, tmp_path):
+        # two-state default matrix, 500 records as in the CI dump
+        out = tmp_path / "gff.jsonl"
+        assert main(["sample", "--what", "gff", "--n", "500", "--seed", "3", "--out", str(out)]) == 0
+        values = [json.loads(ln)["values"] for ln in out.read_text().splitlines()]
+        assert len(values) == 500
+        assert values[0] == [0.8716946000489855, 0.4668535137426199]
+        assert values[1] == [-0.3111553197151749, -2.4328318124577537]
+        # a row-major factor (numpy's own layout) moves record 5's last bit
+        assert values[5] == [-0.7165317385462112, -0.13810332076826967]
+        assert values[499] == [-0.008080646428618918, 1.1320383183985907]
 
     @pytest.mark.parametrize(
         "what, extra, pinned",

@@ -56,8 +56,8 @@ _PIVOT_TOL = 1e-14
 # entries at most this large in modulus count as absent steps
 _SUPPORT_TOL = 1e-15
 
-# LAPACK's complex LU factorization and solve, bound once
-_GETRF, _GETRS = scipy.linalg.get_lapack_funcs(("getrf", "getrs"), dtype=np.complex128)
+# LAPACK's complex LU factorization, bound once
+_GETRF = scipy.linalg.get_lapack_funcs("getrf", dtype=np.complex128)
 
 
 @dataclass(frozen=True)
@@ -243,9 +243,14 @@ def _lu_factor(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _lu_solve(arr: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve arr @ x = rhs by one ``_lu_factor``."""
-    lu, piv = _lu_factor(arr)
-    return _GETRS(lu, piv, rhs)[0]
+    """Solve arr @ x = rhs after ``_lu_factor``'s pivot check.
+
+    The solve is numpy's: scipy's ``getrs`` wakes the helper thread of
+    scipy's bundled OpenBLAS, which then spins for tens of milliseconds
+    per call on a core the caller may need.
+    """
+    _lu_factor(arr)
+    return np.linalg.solve(arr, rhs)
 
 
 def lu_det(matrix: np.ndarray) -> complex:

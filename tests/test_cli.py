@@ -1,8 +1,11 @@
 import json
 import math
 import os
+import re
+import signal
 import subprocess
 import sys
+from contextlib import contextmanager
 from decimal import Decimal, localcontext
 from pathlib import Path
 
@@ -11,6 +14,7 @@ import pytest
 import scipy.stats
 
 import loopsoup
+from loopsoup import cli
 from loopsoup import fixtures as fx
 from loopsoup import soup, spanning
 from loopsoup.cli import (
@@ -23,6 +27,7 @@ from loopsoup.cli import (
     _wilson_tree_counts,
     main,
 )
+from loopsoup.errors import NumericalFailure
 from loopsoup.rng import SEED_ENV_VAR, substream
 
 
@@ -376,6 +381,104 @@ class TestMcCommand:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert main(["mc", "--config", str(bad)]) == 2
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@contextmanager
+def _time_limit(seconds):
+    # a parent left waiting on a child that never reports fails the test
+    # instead of hanging the run
+    def expire(signum, frame):
+        raise TimeoutError(f"still waiting after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _swap_suite(monkeypatch, name, replacement):
+    # keeps the suite's place in the report and the process it runs in
+    suites = tuple(
+        (replacement if suite.__name__ == name else suite, forked)
+        for suite, forked in cli._MC_SUITES
+    )
+    assert suites != cli._MC_SUITES
+    monkeypatch.setattr(cli, "_MC_SUITES", suites)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="mc forks only where os.fork exists")
+class TestMcProcesses:
+    @pytest.mark.parametrize("samples", [1000, 1500])
+    @pytest.mark.parametrize("seed", [0, 7, 42])
+    def test_forked_run_writes_the_in_process_bytes(
+        self, seed, samples, tmp_path, monkeypatch, capsys
+    ):
+        argv = ["mc", "--seed", str(seed), "--samples", str(samples), "--out"]
+        forked, single = tmp_path / "forked.jsonl", tmp_path / "single.jsonl"
+        code = main(argv + [str(forked)])
+        console = capsys.readouterr().out
+        _assert_no_child_left()
+        monkeypatch.delattr(os, "fork")
+        assert main(argv + [str(single)]) == code
+        assert capsys.readouterr().out == console
+        assert forked.read_bytes() == single.read_bytes()
+
+    @pytest.mark.parametrize("error", [ValueError, NumericalFailure])
+    def test_child_error_exits_2_with_its_message(
+        self, error, tmp_path, monkeypatch, capsys
+    ):
+        def failing(config):
+            raise error(f"raised in process {os.getpid()}")
+
+        _swap_suite(monkeypatch, "_squared_field_moments", failing)
+        out = tmp_path / "mc.jsonl"
+        with _time_limit(60):
+            code = main(["mc", "--seed", "1", "--samples", "1000", "--out", str(out)])
+        assert code == 2
+        captured = capsys.readouterr()
+        pid = re.search(r"error: raised in process (\d+)", captured.err)
+        assert pid and int(pid.group(1)) != os.getpid()
+        assert captured.out == ""
+        assert not out.exists()
+        with _time_limit(60), pytest.raises(error) as raised:
+            cli._mc_checks(RunConfig(seed=1, samples=1000))
+        assert "in failing" in str(raised.value.__cause__)  # the child's traceback
+        _assert_no_child_left()
+
+    def test_parent_error_still_reaps_the_child(self, monkeypatch, capsys):
+        def failing(config):
+            raise ValueError("raised beside the child")
+
+        _swap_suite(monkeypatch, "_soup_count_law", failing)
+        assert main(["mc", "--seed", "1", "--samples", "1000"]) == 2
+        assert "error: raised beside the child" in capsys.readouterr().err
+        _assert_no_child_left()
+
+    def test_child_that_dies_unreported_is_an_error(self, tmp_path, monkeypatch, capsys):
+        parent = os.getpid()
+
+        def dying(config):
+            if os.getpid() == parent:  # never end the test process itself
+                raise AssertionError("a forked suite ran in the parent")
+            os._exit(1)
+
+        _swap_suite(monkeypatch, "_occupation_transform_mc", dying)
+        out = tmp_path / "mc.jsonl"
+        with _time_limit(60), pytest.raises(
+            RuntimeError, match="exited with status 1 before reporting"
+        ):
+            main(["mc", "--seed", "1", "--samples", "1000", "--out", str(out)])
+        assert capsys.readouterr().out == ""
+        assert not out.exists()
+        _assert_no_child_left()
 
 
 def _cli_import_loads(module):

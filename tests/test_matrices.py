@@ -245,6 +245,13 @@ class TestDetLaplacian:
         with pytest.raises(NumericallySingular):
             mx.lu_det(np.array([[1.0, 1.0], [1.0, 1.0]]))
 
+    def test_singular_solve_raises(self):
+        # the solve is numpy's, which raises its own LinAlgError here and
+        # solves a nearly singular system without complaint; the pivot
+        # check runs first and raises the package's error
+        with pytest.raises(NumericallySingular):
+            mx._lu_solve(np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex), np.eye(2))
+
 
 class TestRestrict:
     def test_preserves_order(self):

@@ -50,7 +50,6 @@ __all__ = [
     "GFFModel",
     "gff_sample",
     "gff_transform_closed",
-    "IsomorphismIdentity",
     "isomorphism_identity_check",
     "IsomorphismSampling",
     "isomorphism_mc_check",
@@ -60,7 +59,6 @@ __all__ = [
     "ComplexGFFModel",
     "complex_gff_sample",
     "pushforward_loop_check",
-    "DoubledTransformIdentity",
     "doubled_transform_identity_check",
 ]
 
@@ -121,28 +119,13 @@ def gff_transform_closed(q: WeightMatrix, f) -> float:
     return math.sqrt(det_laplacian(q).real / lu_det(a).real)
 
 
-@dataclass(frozen=True)
-class IsomorphismIdentity:
-    """Closed forms of both sides of the squared-field identity."""
-
-    gaussian: float
-    soup: complex
-
-    @property
-    def error(self) -> float:
-        return abs(self.gaussian - self.soup)
-
-
-def isomorphism_identity_check(q: WeightMatrix, f) -> IsomorphismIdentity:
-    """Exact check: squared-field transform vs occupation transform.
+def isomorphism_identity_check(q: WeightMatrix, f) -> float:
+    """Exact check: |squared-field transform - occupation transform|.
 
     Both sides are closed determinant expressions; they agree identically
     because det(I - Q + D_f) = prod(1 + f) det(I - Q_f).
     """
-    return IsomorphismIdentity(
-        gaussian=gff_transform_closed(q, f),
-        soup=rho_transform_closed(q, f, 0.5),
-    )
+    return abs(gff_transform_closed(q, f) - rho_transform_closed(q, f, 0.5))
 
 
 @dataclass(frozen=True)
@@ -359,28 +342,17 @@ def pushforward_loop_check(q: WeightMatrix, max_len: int) -> float:
     return worst
 
 
-@dataclass(frozen=True)
-class DoubledTransformIdentity:
-    """Occupation transform computed on doubled sites vs on complex weights.
+def doubled_transform_identity_check(q: WeightMatrix, f) -> float:
+    """|occupation transform on doubled sites - the one on complex weights|.
 
     The doubled soup at intensity 1/2, tested against f copied to both site
     halves, must match the complex-weight soup at intensity 1 since
     det [[M_R, -M_I], [M_I, M_R]] = |det M|^2.
     """
-
-    doubled_half: complex
-    complex_full: complex
-
-    @property
-    def error(self) -> float:
-        return abs(self.doubled_half - self.complex_full)
-
-
-def doubled_transform_identity_check(q: WeightMatrix, f) -> DoubledTransformIdentity:
     if not q.hermitian:
         raise InvalidMatrix("doubling identity needs Hermitian weights")
     vec = np.asarray(f, dtype=np.float64)
     doubled = double_weights(q)
     lhs = rho_transform_closed(doubled, np.concatenate([vec, vec]), 0.5)
     rhs = rho_transform_closed(q, vec, 1.0)
-    return DoubledTransformIdentity(doubled_half=lhs, complex_full=rhs)
+    return abs(lhs - rhs)

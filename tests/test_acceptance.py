@@ -136,7 +136,7 @@ def test_c7_isomorphism():
     # (a) exact transform identity on every symmetric fixture and grid point
     for q in fx.mc_fixtures().values():
         for combo in itertools.product((0.0, 0.1, 0.2, 0.5), repeat=q.n):
-            assert gff.isomorphism_identity_check(q, np.array(combo)).error < 1e-9
+            assert gff.isomorphism_identity_check(q, np.array(combo)) < 1e-9
     # (b) both empirical transforms against the shared closed value
     res = gff.isomorphism_mc_check(
         fx.two_state(), [0.3, 0.2], 100_000, substream(777), soup_seed=778

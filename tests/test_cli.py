@@ -14,10 +14,9 @@ import pytest
 import scipy.stats
 
 import loopsoup
-from loopsoup import cli
 from loopsoup import fixtures as fx
 from loopsoup import soup, spanning
-from loopsoup.cli import (
+from loopsoup.checks import (
     _STREAM_BLOCK,
     CheckReport,
     RunConfig,
@@ -25,8 +24,8 @@ from loopsoup.cli import (
     _chisquare_uniform_pvalue,
     _soup_loop_counts,
     _wilson_tree_counts,
-    main,
 )
+from loopsoup.cli import main
 from loopsoup.errors import NumericalFailure
 from loopsoup.rng import SEED_ENV_VAR, substream
 
@@ -194,35 +193,11 @@ class TestVerifyCommand:
             }
 
     def test_loop_sum_checks_are_pinned(self, tmp_path, capsys):
-        # the literal loop sums may move only in their last bits, with the
-        # suite's check list and verdicts unchanged
+        # the literal loop sums may move only in their last bits; the check
+        # list is pinned in TestReportLines
         out = tmp_path / "report.jsonl"
         assert main(["verify", "--out", str(out)]) == 0
         _, checks = read_report(out)
-        assert [(c["check"], c["outcome"]) for c in checks] == [
-            (name, "pass")
-            for name in (
-                "two-state-greens-renewal",
-                "two-state-det-product-orderings",
-                "two-state-loop-mass-det",
-                "two-state-meeting-mass-greens",
-                "cpx4-greens-renewal",
-                "cpx4-det-product-orderings",
-                "cpx4-loop-mass-det",
-                "cpx4-meeting-mass-greens",
-                "first-return-series",
-                "lerw-formula-brute",
-                "matrix-tree-count",
-                "tree-probability-uniform",
-                "reversal-transform",
-                "occupation-transform-loops",
-                "poisson-closed-forms",
-                "gff-isomorphism-exact",
-                "pushforward-per-loop",
-                "doubling-det-squared",
-                "doubled-transform",
-            )
-        ]
         by_name = {c["check"]: c for c in checks}
         for name, value, bound in (
             ("reversal-transform", -2.8771447067167255e-07, 1e-12),
@@ -258,6 +233,23 @@ class TestVerifyCommand:
         extras = [c for c in checks if c["check"].startswith("extra")]
         assert len(extras) == 16
         assert all(c["outcome"] == "pass" for c in extras)
+
+    @pytest.mark.parametrize("config", [None, "adversarial_verify.json"])
+    def test_never_forks(self, config, monkeypatch, tmp_path, capsys):
+        # verify's table marks no check for the child, so it runs in-process
+        monkeypatch.chdir(DATA.parent.parent)
+        argv = ["verify", "--config", str(DATA / config)] if config else ["verify"]
+        plain, unforked = tmp_path / "plain.jsonl", tmp_path / "unforked.jsonl"
+        assert main(argv + ["--out", str(plain)]) == 0
+        console = capsys.readouterr().out
+
+        def refuse():
+            raise AssertionError("verify forked")
+
+        monkeypatch.setattr(os, "fork", refuse)
+        assert main(argv + ["--out", str(unforked)]) == 0
+        assert capsys.readouterr().out == console
+        assert unforked.read_bytes() == plain.read_bytes()
 
     def test_overflowed_tail_is_inconclusive(self, tmp_path, capsys):
         # rho(|Q|) = 0.99999: e^tail overflows, so the truncated loop-mass
@@ -383,6 +375,80 @@ class TestMcCommand:
         assert main(["mc", "--config", str(bad)]) == 2
 
 
+# every report line's check name and inputs digest, in report order: a
+# dropped, reordered or re-keyed check changes these
+VERIFY_LINES = [
+    ("two-state-greens-renewal", "ef64ea8e5d5d0f4d"),
+    ("two-state-det-product-orderings", "f0baecc5826f44ac"),
+    ("two-state-loop-mass-det", "b739aebdacdbd4e9"),
+    ("two-state-meeting-mass-greens", "b1e8bc48a06725e8"),
+    ("cpx4-greens-renewal", "1baa20223dc5b2d8"),
+    ("cpx4-det-product-orderings", "48884c5c673a68ba"),
+    ("cpx4-loop-mass-det", "80576a8674170357"),
+    ("cpx4-meeting-mass-greens", "475041c983706cc3"),
+    ("first-return-series", "3878812a8b1ebc3e"),
+    ("lerw-formula-brute", "e817ff4214f14d9f"),
+    ("matrix-tree-count", "7f033674bb759319"),
+    ("tree-probability-uniform", "d66124f20a548ef3"),
+    ("reversal-transform", "552da42a1486a948"),
+    ("occupation-transform-loops", "dd86eabeb11e409c"),
+    ("poisson-closed-forms", "0d16d0f5363a91c1"),
+    ("gff-isomorphism-exact", "d9f655ace9fe9e98"),
+    ("pushforward-per-loop", "1da3b7989272dcda"),
+    ("doubling-det-squared", "42dc610b4a005f9f"),
+    ("doubled-transform", "de85e3ad97b65ff0"),
+]
+ADVERSARIAL_EXTRA_LINES = [
+    ("extra0-greens-renewal", "00b3d66232451751"),
+    ("extra0-det-product-orderings", "d2a28af2f1f78b6c"),
+    ("extra0-loop-mass-det", "b6cea6b07f8a6809"),
+    ("extra0-meeting-mass-greens", "fb4e7a13c20a0ed3"),
+    ("extra1-greens-renewal", "9bcbf4620a86e531"),
+    ("extra1-det-product-orderings", "cebfcb5f321f3b46"),
+    ("extra1-loop-mass-det", "969a2af59e6791c5"),
+    ("extra1-meeting-mass-greens", "bb40149ed301b8e4"),
+    ("extra2-greens-renewal", "025c6efb9e177c7a"),
+    ("extra2-det-product-orderings", "3f4b6e1b6bbf4658"),
+    ("extra2-loop-mass-det", "d19ea5e62cda1c29"),
+    ("extra2-meeting-mass-greens", "e22e2d9c0323656a"),
+    ("extra3-greens-renewal", "0e720a087912a5dd"),
+    ("extra3-det-product-orderings", "b4c89e060ae2aba1"),
+    ("extra3-loop-mass-det", "2b0fd37c6171b894"),
+    ("extra3-meeting-mass-greens", "fa700ed71130a1cf"),
+]
+MC_SEED42_1000_LINES = [
+    ("wilson-uniform-k3", "e18f1874b5fbd420"),
+    ("wilson-uniform-k4", "782961ac8b1b7d0c"),
+    ("soup-count-law", "02eb3f29959ddbf5"),
+    ("occupation-transform-mc", "813be2bdfe6bbe61"),
+    ("isomorphism-mc", "c3781b79d6a939ec"),
+    ("squared-field-moments", "b4c016ca5c6fe5de"),
+    ("complex-field-covariance", "683182d9b82d1b4d"),
+]
+
+
+class TestReportLines:
+    @pytest.mark.parametrize(
+        "argv, lines",
+        [
+            (["verify"], VERIFY_LINES),
+            (
+                ["verify", "--config", str(DATA / "adversarial_verify.json")],
+                ADVERSARIAL_EXTRA_LINES + VERIFY_LINES,
+            ),
+            (["mc", "--seed", "42", "--samples", "1000"], MC_SEED42_1000_LINES),
+        ],
+        ids=["verify", "verify-adversarial", "mc-seed42-1000"],
+    )
+    def test_names_and_digests_are_pinned(self, argv, lines, monkeypatch, tmp_path, capsys):
+        # the adversarial config lists its fixtures relative to the repository root
+        monkeypatch.chdir(DATA.parent.parent)
+        out = tmp_path / "report.jsonl"
+        assert main(argv + ["--out", str(out)]) == 0
+        _, checks = read_report(out)
+        assert [(c["check"], c["inputs_digest"]) for c in checks] == lines
+
+
 def _assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -408,10 +474,10 @@ def _swap_suite(monkeypatch, name, replacement):
     # keeps the suite's place in the report and the process it runs in
     suites = tuple(
         (replacement if suite.__name__ == name else suite, forked)
-        for suite, forked in cli._MC_SUITES
+        for suite, forked in loopsoup.checks.MC
     )
-    assert suites != cli._MC_SUITES
-    monkeypatch.setattr(cli, "_MC_SUITES", suites)
+    assert suites != loopsoup.checks.MC
+    monkeypatch.setattr(loopsoup.checks, "MC", suites)
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="mc forks only where os.fork exists")
@@ -449,7 +515,7 @@ class TestMcProcesses:
         assert captured.out == ""
         assert not out.exists()
         with _time_limit(60), pytest.raises(error) as raised:
-            cli._mc_checks(RunConfig(seed=1, samples=1000))
+            loopsoup.checks.run(loopsoup.checks.MC, RunConfig(seed=1, samples=1000))
         assert "in failing" in str(raised.value.__cause__)  # the child's traceback
         _assert_no_child_left()
 

@@ -140,8 +140,7 @@ class TestIsomorphism:
         grid = [np.full(q.n, s) for s in (0.1, 0.2, 0.5)]
         grid.append(rng.uniform(0.0, 1.0, q.n))
         for f in grid:
-            check = gff.isomorphism_identity_check(q, f)
-            assert check.error < 1e-12
+            assert gff.isomorphism_identity_check(q, f) < 1e-12
 
     def test_mc_both_sides(self):
         q = two_state()
@@ -278,5 +277,4 @@ class TestPushforward:
     def test_transform_identity(self):
         for q in (hermitian_pair(), random_hermitian(3, 0.55, seed=420)):
             for s in (0.1, 0.4):
-                check = gff.doubled_transform_identity_check(q, np.full(q.n, s))
-                assert check.error < 1e-10
+                assert gff.doubled_transform_identity_check(q, np.full(q.n, s)) < 1e-10

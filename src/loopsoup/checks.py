@@ -25,6 +25,7 @@ import numpy as np
 
 from . import fixtures as fx
 from . import gff, lerw, loops, soup, spanning
+from .errors import InvalidMatrix
 from .matrices import (
     WeightMatrix,
     det_laplacian,
@@ -371,7 +372,8 @@ def _transform_checks(config: RunConfig):
         grid = [np.full(q.n, s) for s in (0.0, 0.1, 0.2, 0.5)]
         grid.append(rng.uniform(0.0, 1.0, q.n))
         for f in grid:
-            worst = max(worst, gff.isomorphism_identity_check(q, f))
+            closed = gff.gff_transform_closed(q, f)
+            worst = max(worst, abs(closed - soup.rho_transform_closed(q, f, 0.5)))
     yield _report(
         "gff-isomorphism-exact",
         "half-squared-field transform equals the intensity-1/2 occupation transform",
@@ -410,8 +412,14 @@ def _transform_checks(config: RunConfig):
         1e-9,
         fixtures=["herm2", "herm3"],
     )
+    # det [[M_R, -M_I], [M_I, M_R]] = |det M|^2, so the doubled soup at
+    # intensity 1/2, tested against f copied to both halves, is the complex
+    # one at intensity 1
     worst = max(
-        gff.doubled_transform_identity_check(q, np.full(q.n, s))
+        abs(
+            soup.rho_transform_closed(gff.double_weights(q), np.full(2 * q.n, s), 0.5)
+            - soup.rho_transform_closed(q, np.full(q.n, s), 1.0)
+        )
         for q in (herm2, herm3)
         for s in (0.1, 0.4)
     )
@@ -590,41 +598,80 @@ def _occupation_transform_mc(config: RunConfig):
     )
 
 
+def _isomorphism_sigmas(
+    q: WeightMatrix, f, n: int, field_rng: np.random.Generator, soup_seed: int
+) -> float:
+    """The larger sigma count of the two sampled sides of the isomorphism,
+    E[exp(-<f, .>)] of n fields each, against their shared closed value.
+
+    The Gaussian side squares and halves its field; the soup side runs at
+    intensity 1/2 with the trivial part included.
+    """
+    phi = gff.gff_sample(gff.GFFModel.from_weights(q), n, field_rng)
+    gauss = soup.empirical_transform(0.5 * phi**2, f)
+    fields = soup.sample_occupation_fields(q, 0.5, n, soup_seed, trivial=True)
+    occupation = soup.empirical_transform(fields, f)
+    closed = gff.gff_transform_closed(q, f)
+    return max(
+        abs(gauss.value - closed) / gauss.stderr,
+        abs(occupation.value - closed) / occupation.stderr,
+    )
+
+
 def _isomorphism_mc(config: RunConfig):
     """Both sides of the isomorphism against the shared closed value."""
-    res = gff.isomorphism_mc_check(
-        fx.two_state(),
-        [0.3, 0.2],
-        config.samples,
-        substream(config.seed, 6 * _STREAM_BLOCK),
-        soup_seed=config.seed,
-    )
-    sig = max(
-        abs(res.gaussian_value - res.closed) / res.gaussian_stderr,
-        abs(res.soup_value - res.closed) / res.soup_stderr,
-    )
     yield _mc_report(
         config,
         "isomorphism-mc",
         "squared-field and occupation samples both reach the closed transform",
-        sig,
+        _isomorphism_sigmas(
+            fx.two_state(),
+            [0.3, 0.2],
+            config.samples,
+            substream(config.seed, 6 * _STREAM_BLOCK),
+            soup_seed=config.seed,
+        ),
         fixture="two_state",
+    )
+
+
+def _moment_sigmas(
+    q: WeightMatrix, n: int, field_rng: np.random.Generator, soup_seed: int
+) -> float:
+    """The largest sigma count of the first two moments of n one-site
+    half-squared Gaussian and occupation fields against their closed values.
+
+    With g = G(x, x), half a squared N(0, g) draw is Gamma(1/2, g)-shaped:
+    mean g/2 and second moment 3 g^2 / 4.  The occupation field of the soup
+    at intensity 1/2 (trivial part included) must reproduce both.
+    """
+    if q.n != 1:
+        raise InvalidMatrix("the moment decomposition check is one-site only")
+    g = float(greens_exact(q).entries.real[0, 0])
+    phi = gff.gff_sample(gff.GFFModel.from_weights(q), n, field_rng)[:, 0]
+    x = 0.5 * phi**2
+    y = soup.sample_occupation_fields(q, 0.5, n, soup_seed, trivial=True)[:, 0]
+    # Gaussian mean and second moment, then the soup's: a NaN ratio makes
+    # max depend on the order, which the reports have always had
+    return max(
+        abs(float(m.mean()) - target) / float(m.std(ddof=1) / math.sqrt(n))
+        for field in (x, y)
+        for m, target in ((field, g / 2), (field**2, 0.75 * g * g))
     )
 
 
 def _squared_field_moments(config: RunConfig):
     """One-site moment decomposition."""
-    res = gff.chi_square_moment_check(
-        fx.one_point(0.5),
-        config.samples,
-        substream(config.seed, 7 * _STREAM_BLOCK),
-        soup_seed=config.seed + 1,
-    )
     yield _mc_report(
         config,
         "squared-field-moments",
         "one-site squared-field and occupation moments agree",
-        res.max_sigmas(),
+        _moment_sigmas(
+            fx.one_point(0.5),
+            config.samples,
+            substream(config.seed, 7 * _STREAM_BLOCK),
+            soup_seed=config.seed + 1,
+        ),
         fixture="one_point_q0.5",
     )
 

@@ -80,7 +80,7 @@ def random_hermitian(n: int, rho: float, seed: int) -> WeightMatrix:
 
 
 def mc_fixtures() -> dict[str, WeightMatrix]:
-    """Positive fixtures used by the Monte Carlo suites."""
+    """Positive fixtures of acceptance criteria 6 and 7."""
     return {
         "one_point_q0.3": one_point(0.3),
         "one_point_q0.5": one_point(0.5),

@@ -5,7 +5,9 @@ For real symmetric acceptable weights the Green's function G = (I - Q)^{-1}
 is positive definite, so it is the covariance of a centered Gaussian field.
 Half the squared field then has the same law as the intensity-1/2 occupation
 field with its trivial part included; both Laplace transforms reduce to the
-same determinant ratio, which this module checks exactly and by sampling.
+same determinant ratio, and ``gff_transform_closed`` gives the field's side
+in closed form. The comparisons of the two sides, exact and sampled, live in
+``loopsoup.checks``.
 
 Complex Hermitian weights are handled by doubling: each site splits into a
 real and a starred copy, and the complex 2x2 representation
@@ -40,26 +42,15 @@ from .matrices import (
     lu_det,
     require_acceptable,
 )
-from .soup import (
-    empirical_transform,
-    rho_transform_closed,
-    sample_occupation_fields,
-)
 
 __all__ = [
     "GFFModel",
     "gff_sample",
     "gff_transform_closed",
-    "isomorphism_identity_check",
-    "IsomorphismSampling",
-    "isomorphism_mc_check",
-    "SquaredFieldMoments",
-    "chi_square_moment_check",
     "double_weights",
     "ComplexGFFModel",
     "complex_gff_sample",
     "pushforward_loop_check",
-    "doubled_transform_identity_check",
 ]
 
 
@@ -117,120 +108,6 @@ def gff_transform_closed(q: WeightMatrix, f) -> float:
     if np.linalg.eigvalsh(a).min() <= 1e-14:
         raise OutOfDomain("I - Q + D_f lost positive definiteness")
     return math.sqrt(det_laplacian(q).real / lu_det(a).real)
-
-
-def isomorphism_identity_check(q: WeightMatrix, f) -> float:
-    """Exact check: |squared-field transform - occupation transform|.
-
-    Both sides are closed determinant expressions; they agree identically
-    because det(I - Q + D_f) = prod(1 + f) det(I - Q_f).
-    """
-    return abs(gff_transform_closed(q, f) - rho_transform_closed(q, f, 0.5))
-
-
-@dataclass(frozen=True)
-class IsomorphismSampling:
-    """Monte Carlo estimates of both sides against their shared closed value."""
-
-    closed: float
-    gaussian_value: complex
-    gaussian_stderr: float
-    soup_value: complex
-    soup_stderr: float
-
-
-def isomorphism_mc_check(
-    q: WeightMatrix,
-    f,
-    n_samples: int,
-    field_rng: np.random.Generator,
-    soup_seed: int,
-) -> IsomorphismSampling:
-    """Sample both fields and compare E[exp(-<f, .>)] on each side.
-
-    The Gaussian side squares and halves its field; the soup side runs at
-    intensity 1/2 with the trivial part included.
-    """
-    model = GFFModel.from_weights(q)
-    phi = gff_sample(model, n_samples, field_rng)
-    gauss = empirical_transform(0.5 * phi**2, f)
-    fields = sample_occupation_fields(q, 0.5, n_samples, soup_seed, trivial=True)
-    soup_est = empirical_transform(fields, f)
-    closed = gff_transform_closed(q, f)
-    return IsomorphismSampling(
-        closed=closed,
-        gaussian_value=gauss.value,
-        gaussian_stderr=gauss.stderr,
-        soup_value=soup_est.value,
-        soup_stderr=soup_est.stderr,
-    )
-
-
-@dataclass(frozen=True)
-class SquaredFieldMoments:
-    """First two moments of both one-site fields, with MC standard errors."""
-
-    closed_mean: float
-    closed_second: float
-    gaussian_mean: float
-    gaussian_mean_stderr: float
-    gaussian_second: float
-    gaussian_second_stderr: float
-    soup_mean: float
-    soup_mean_stderr: float
-    soup_second: float
-    soup_second_stderr: float
-
-    def max_sigmas(self) -> float:
-        return max(
-            abs(self.gaussian_mean - self.closed_mean) / self.gaussian_mean_stderr,
-            abs(self.gaussian_second - self.closed_second)
-            / self.gaussian_second_stderr,
-            abs(self.soup_mean - self.closed_mean) / self.soup_mean_stderr,
-            abs(self.soup_second - self.closed_second) / self.soup_second_stderr,
-        )
-
-
-def _mean_with_stderr(x: np.ndarray) -> tuple[float, float]:
-    return float(x.mean()), float(x.std(ddof=1) / math.sqrt(len(x)))
-
-
-def chi_square_moment_check(
-    q: WeightMatrix,
-    n_samples: int,
-    field_rng: np.random.Generator,
-    soup_seed: int,
-) -> SquaredFieldMoments:
-    """One-site moment comparison of half-squared Gaussian vs occupation.
-
-    With g = G(x, x), half a squared N(0, g) draw is Gamma(1/2, g)-shaped:
-    mean g/2 and second moment 3 g^2 / 4.  The occupation field of the soup
-    at intensity 1/2 (trivial part included) must reproduce both.
-    """
-    if q.n != 1:
-        raise InvalidMatrix("the moment decomposition check is one-site only")
-    g = float(greens_exact(q).entries.real[0, 0])
-    model = GFFModel.from_weights(q)
-    phi = gff_sample(model, n_samples, field_rng)[:, 0]
-    x = 0.5 * phi**2
-    fields = sample_occupation_fields(q, 0.5, n_samples, soup_seed, trivial=True)
-    y = fields[:, 0]
-    gm, gms = _mean_with_stderr(x)
-    g2, g2s = _mean_with_stderr(x**2)
-    sm, sms = _mean_with_stderr(y)
-    s2, s2s = _mean_with_stderr(y**2)
-    return SquaredFieldMoments(
-        closed_mean=g / 2,
-        closed_second=0.75 * g * g,
-        gaussian_mean=gm,
-        gaussian_mean_stderr=gms,
-        gaussian_second=g2,
-        gaussian_second_stderr=g2s,
-        soup_mean=sm,
-        soup_mean_stderr=sms,
-        soup_second=s2,
-        soup_second_stderr=s2s,
-    )
 
 
 # --- complex Hermitian weights via doubling ----------------------------------
@@ -341,18 +218,3 @@ def pushforward_loop_check(q: WeightMatrix, max_len: int) -> float:
         worst = max(worst, np.hypot(error.real, error.imag).max())
     return worst
 
-
-def doubled_transform_identity_check(q: WeightMatrix, f) -> float:
-    """|occupation transform on doubled sites - the one on complex weights|.
-
-    The doubled soup at intensity 1/2, tested against f copied to both site
-    halves, must match the complex-weight soup at intensity 1 since
-    det [[M_R, -M_I], [M_I, M_R]] = |det M|^2.
-    """
-    if not q.hermitian:
-        raise InvalidMatrix("doubling identity needs Hermitian weights")
-    vec = np.asarray(f, dtype=np.float64)
-    doubled = double_weights(q)
-    lhs = rho_transform_closed(doubled, np.concatenate([vec, vec]), 0.5)
-    rhs = rho_transform_closed(q, vec, 1.0)
-    return abs(lhs - rhs)

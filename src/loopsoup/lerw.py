@@ -12,6 +12,7 @@ a certified bound on the mass of the walks it never saw.
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -194,10 +195,15 @@ def self_avoiding_paths(problem: BoundaryProblem, start: str) -> list[tuple[str,
     """Every self-avoiding interior path from start capped by a boundary site.
 
     Purely combinatorial: no support filtering, so paths of weight zero are
-    listed too.
+    listed too.  More than DEFAULT_BUDGET paths are refused with TooLarge
+    before any is built.
     """
     if start not in problem.interior:
         raise InvalidPath(f"start {start!r} must be an interior site")
+    # each ordering of j of the other k - 1 interior sites, times b exits
+    k = len(problem.interior)
+    if len(problem.boundary) * sum(math.perm(k - 1, j) for j in range(k)) > DEFAULT_BUDGET:
+        raise TooLarge(f"more than {DEFAULT_BUDGET} self-avoiding paths")
     out: list[tuple[str, ...]] = []
     # depth first, each prefix's exits before its extensions in interior order
     stack = [(start,)]

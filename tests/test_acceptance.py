@@ -11,7 +11,7 @@ import numpy as np
 import scipy.stats
 
 from loopsoup import fixtures as fx
-from loopsoup import gff, lerw, loops, soup, spanning
+from loopsoup import checks, gff, lerw, loops, soup, spanning
 from loopsoup.matrices import (
     det_laplacian,
     greens_exact,
@@ -136,18 +136,19 @@ def test_c7_isomorphism():
     # (a) exact transform identity on every symmetric fixture and grid point
     for q in fx.mc_fixtures().values():
         for combo in itertools.product((0.0, 0.1, 0.2, 0.5), repeat=q.n):
-            assert gff.isomorphism_identity_check(q, np.array(combo)) < 1e-9
+            f = np.array(combo)
+            closed = gff.gff_transform_closed(q, f)
+            assert abs(closed - soup.rho_transform_closed(q, f, 0.5)) < 1e-9
     # (b) both empirical transforms against the shared closed value
-    res = gff.isomorphism_mc_check(
+    sig = checks._isomorphism_sigmas(
         fx.two_state(), [0.3, 0.2], 100_000, substream(777), soup_seed=778
     )
-    assert abs(res.gaussian_value - res.closed) <= 4.0 * res.gaussian_stderr
-    assert abs(res.soup_value - res.closed) <= 4.0 * res.soup_stderr
+    assert sig <= 4.0
     # (c) one-site moment decomposition
-    moments = gff.chi_square_moment_check(
+    sig = checks._moment_sigmas(
         fx.one_point(0.5), 100_000, substream(779), soup_seed=780
     )
-    assert moments.max_sigmas() < 4.0
+    assert sig < 4.0
     assert time.perf_counter() - started < 120.0
 
 

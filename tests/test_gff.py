@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from loopsoup import gff
+from loopsoup import checks, gff
 from loopsoup import soup as sp
 from loopsoup.errors import (
     AcceptabilityWarning,
@@ -22,7 +22,7 @@ from loopsoup.fixtures import (
     random_symmetric_positive,
     two_state,
 )
-from loopsoup.matrices import WeightMatrix, greens_exact, lu_det
+from loopsoup.matrices import GreensFunction, WeightMatrix, greens_exact, lu_det
 from loopsoup.rng import substream
 from oracles import block_weights, loop_blocks
 
@@ -140,27 +140,37 @@ class TestIsomorphism:
         grid = [np.full(q.n, s) for s in (0.1, 0.2, 0.5)]
         grid.append(rng.uniform(0.0, 1.0, q.n))
         for f in grid:
-            assert gff.isomorphism_identity_check(q, f) < 1e-12
+            closed = gff.gff_transform_closed(q, f)
+            assert abs(closed - sp.rho_transform_closed(q, f, 0.5)) < 1e-12
 
     def test_mc_both_sides(self):
         q = two_state()
-        res = gff.isomorphism_mc_check(
+        sig = checks._isomorphism_sigmas(
             q, [0.3, 0.2], 20_000, substream(407), soup_seed=408
         )
-        assert abs(res.gaussian_value - res.closed) < 4 * res.gaussian_stderr
-        assert abs(res.soup_value - res.closed) < 4 * res.soup_stderr
+        assert sig < 4.0
 
     def test_moment_decomposition_one_site(self):
-        res = gff.chi_square_moment_check(
+        sig = checks._moment_sigmas(
             one_point(0.5), 30_000, substream(409), soup_seed=410
         )
-        assert res.closed_mean == pytest.approx(1.0)  # g = 2, mean g/2
-        assert res.closed_second == pytest.approx(3.0)
-        assert res.max_sigmas() < 4.0
+        assert sig < 4.0
+
+    def test_moment_targets_follow_greens_diagonal(self, monkeypatch):
+        # the targets are g/2 and 3g^2/4 for g = G(x, x); with G scaled by
+        # 1.1 in the targets only, the same draws miss them
+        exact = checks.greens_exact
+
+        def scaled(q):
+            return GreensFunction(q.space, 1.1 * exact(q).entries)
+
+        monkeypatch.setattr(checks, "greens_exact", scaled)
+        sig = checks._moment_sigmas(one_point(0.5), 30_000, substream(409), soup_seed=410)
+        assert sig > 4.0
 
     def test_moment_check_rejects_multisite(self):
         with pytest.raises(InvalidMatrix):
-            gff.chi_square_moment_check(two_state(), 10, substream(1), soup_seed=2)
+            checks._moment_sigmas(two_state(), 10, substream(1), soup_seed=2)
 
 
 class TestDoubling:
@@ -277,4 +287,7 @@ class TestPushforward:
     def test_transform_identity(self):
         for q in (hermitian_pair(), random_hermitian(3, 0.55, seed=420)):
             for s in (0.1, 0.4):
-                assert gff.doubled_transform_identity_check(q, np.full(q.n, s)) < 1e-10
+                doubled = sp.rho_transform_closed(
+                    gff.double_weights(q), np.full(2 * q.n, s), 0.5
+                )
+                assert abs(doubled - sp.rho_transform_closed(q, np.full(q.n, s), 1.0)) < 1e-10

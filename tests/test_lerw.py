@@ -257,6 +257,16 @@ class TestSelfAvoidingPaths:
         assert len(paths) == 10
         assert len(set(paths)) == 10
 
+    def test_budget_refuses_before_listing(self):
+        # 2 exits times sum_{j<11} 10!/(10-j)! orderings: 19 728 202 paths
+        labels = [f"a{i}" for i in range(11)] + ["b0", "b1"]
+        q = WeightMatrix.from_entries(labels, np.full((13, 13), 0.05))
+        problem = lerw.BoundaryProblem(q, tuple(labels[:11]), ("b0", "b1"))
+        started = time.perf_counter()
+        with pytest.raises(TooLarge):
+            lerw.self_avoiding_paths(problem, "a0")
+        assert time.perf_counter() - started < 1.0
+
     def test_all_paths_valid(self):
         problem = boundary_problems()["srw_path5"]
         for eta in lerw.self_avoiding_paths(problem, "v2"):

@@ -66,8 +66,7 @@ class GFFModel:
     def from_weights(cls, q: WeightMatrix) -> "GFFModel":
         if not (q.real and q.symmetric):
             raise InvalidMatrix("Gaussian field needs real symmetric weights")
-        require_acceptable(q)
-        g = greens_exact(q).entries.real
+        g = greens_exact(q).real
         try:
             chol = np.linalg.cholesky(g)
         except np.linalg.LinAlgError as exc:
@@ -152,11 +151,9 @@ class ComplexGFFModel:
     def from_weights(cls, q: WeightMatrix) -> "ComplexGFFModel":
         if not q.hermitian:
             raise InvalidMatrix("complex Gaussian field needs Hermitian weights")
-        require_acceptable(q)
+        greens = greens_exact(q)  # gates q before its doubling can warn
         doubled = GFFModel.from_weights(double_weights(q))
-        return cls(
-            weights=q, greens=greens_exact(q).entries, doubled=doubled
-        )
+        return cls(weights=q, greens=greens, doubled=doubled)
 
     @property
     def n(self) -> int:

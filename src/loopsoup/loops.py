@@ -25,9 +25,9 @@ import numpy as np
 from .errors import InvalidPath, TooLarge
 from .matrices import (
     WeightMatrix,
-    _lu_solve,
     abs_resolvent_tail,
     det_laplacian,
+    greens_exact,
     require_acceptable,
     restrict,
 )
@@ -264,15 +264,14 @@ def exp_meeting_mass_greens(q: WeightMatrix, sites: Sequence[str]) -> complex:
 
     Peel the listed sites one at a time: multiply G(x, x) computed on the
     not-yet-peeled state space.  Independent of the peeling order; with all
-    sites listed this is 1/det(I - Q).  Q is gated and I - Q inverted once
-    per call; peeling x downdates the inverse to that on the sites left,
+    sites listed this is 1/det(I - Q).  One ``greens_exact(q)`` per call;
+    peeling x downdates it to the inverse on the sites left,
     g <- g - g[:, x] g[x, :] / g[x, x].  For acceptable Q, |G_A(x, x)| > 1/2
     and I - Q is an H-matrix, so the downdates are safe and stable.
     """
-    require_acceptable(q)
+    g = greens_exact(q)
     if len(set(sites)) != len(sites):
         raise InvalidPath("peeling order must not repeat sites")
-    g = _lu_solve(np.eye(q.n) - q.entries, np.eye(q.n))
     product = 1.0 + 0.0j
     for x in q.space.indices(sites):
         pivot = g[x, x]

@@ -5,8 +5,8 @@ Everything downstream (loop measures, soups, field identities) rests on the
 *acceptability* condition: the entrywise absolute matrix |Q| must have
 spectral radius strictly below one, which makes every path and loop series
 converge absolutely.  This module provides the state space and matrix
-containers, the acceptability certificate, det(I - Q), exact and truncated
-Green's functions, restrictions to subsets, the first-return weight at a
+containers, the acceptability certificate, det(I - Q), the Green's function
+G = (I - Q)^{-1}, restrictions to subsets, the first-return weight at a
 site, and diagonal perturbations.
 """
 
@@ -30,7 +30,6 @@ __all__ = [
     "StateSpace",
     "WeightMatrix",
     "AcceptabilityCertificate",
-    "GreensFunction",
     "TOL_ACCEPT",
     "FLAG_TOL",
     "spectral_radius_abs",
@@ -180,23 +179,6 @@ class WeightMatrix:
             return cls.from_json_dict(json.load(fh))
 
 
-@dataclass(frozen=True)
-class GreensFunction:
-    """Matrix of total path weights between sites: entries solve (I-Q)G = I."""
-
-    space: StateSpace
-    entries: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.entries, dtype=np.complex128)
-        arr.setflags(write=False)
-        object.__setattr__(self, "entries", arr)
-
-    def diagonal(self, label: str) -> complex:
-        i = self.space.index(label)
-        return complex(self.entries[i, i])
-
-
 def spectral_radius_abs(q: WeightMatrix | np.ndarray) -> float:
     """Spectral radius of |Q|, the entrywise absolute value of the matrix,
     from one dense eigenvalue computation; 0.0 for a zero or empty matrix."""
@@ -268,11 +250,12 @@ def det_laplacian(q: WeightMatrix) -> complex:
     return lu_det(np.eye(q.n) - q.entries)
 
 
-def greens_exact(q: WeightMatrix) -> GreensFunction:
-    """G = (I - Q)^{-1} by LU with partial pivoting."""
+def greens_exact(q: WeightMatrix) -> np.ndarray:
+    """G = (I - Q)^{-1} by LU with partial pivoting, read-only, indexed like q."""
     require_acceptable(q)
     g = _lu_solve(np.eye(q.n) - q.entries, np.eye(q.n))
-    return GreensFunction(q.space, g)
+    g.setflags(write=False)
+    return g
 
 
 def abs_resolvent_tail(m_abs: np.ndarray, power: int, rhs: np.ndarray) -> np.ndarray:
@@ -296,44 +279,22 @@ def restrict(q: WeightMatrix, labels: Sequence[str]) -> WeightMatrix:
     return WeightMatrix(StateSpace(tuple(labels)), sub)
 
 
-def first_return_weight(
-    q: WeightMatrix,
-    site: str,
-    mode: str = "excursion",
-    length: int | None = None,
-) -> complex | tuple[complex, float]:
+def first_return_weight(q: WeightMatrix, site: str) -> complex:
     """Total weight of loops at ``site`` with no intermediate visit to it.
 
-    ``excursion`` evaluates Q(x, x) + Q(x, A) (I - Q_A)^{-1} Q(A, x), A being
-    the other sites: one solve on the complement that never forms G, so
-    G(x, x) (1 - F(x)) = 1 relates two different solves.  ``brute_force`` sums
-    the weights of all such loops of length <= ``length`` (grouped through
-    powers of the matrix restricted to the complement) and returns the
-    partial sum with the tail bound (|Q|^(length+1) (I - |Q|)^{-1})_xx, the
-    sum over k > length of (|Q|^k)_xx, which bounds the first-return loops of
-    length k in modulus; the modes agree within it for any acceptable Q.
+    Evaluates Q(x, x) + Q(x, A) (I - Q_A)^{-1} Q(A, x), A being the other
+    sites: one solve on the complement that never forms G, so
+    G(x, x) (1 - F(x)) = 1 relates two different solves.
     """
     require_acceptable(q)
     i = q.space.index(site)
     others = [j for j in range(q.n) if j != i]
-    sub = q.entries[np.ix_(others, others)]
-    row = q.entries[i, others]
-    col = q.entries[others, i]
     total = complex(q.entries[i, i])
-    if mode == "excursion":
-        if others:  # I - Q_A is invertible: Q_A is acceptable with Q
-            total += complex(row @ _lu_solve(np.eye(len(others)) - sub, col))
-        return total
-    if mode != "brute_force":
-        raise ValueError(f"unknown mode {mode!r}")
-    if length is None or length < 1:
-        raise ValueError("brute_force mode needs a length cap >= 1")
-    power = np.eye(len(others), dtype=np.complex128)
-    for _ in range(2, length + 1):
-        total += row @ power @ col
-        power = power @ sub
-    tail = abs_resolvent_tail(np.abs(q.entries), length + 1, np.eye(q.n)[:, i])
-    return total, float(tail[i])
+    if others:  # I - Q_A is invertible: Q_A is acceptable with Q
+        sub = q.entries[np.ix_(others, others)]
+        solved = _lu_solve(np.eye(len(others)) - sub, q.entries[others, i])
+        total += complex(q.entries[i, others] @ solved)
+    return total
 
 
 def perturb(q: WeightMatrix, f: Sequence[complex]) -> WeightMatrix:

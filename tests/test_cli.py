@@ -298,6 +298,22 @@ class TestMcCommand:
         _, checks = read_report(out)
         assert all(c["outcome"] == "inconclusive" for c in checks)
 
+    def test_runs_without_spread_are_inconclusive(self):
+        # a sample of one has no spread, and a few often have none: every
+        # seed must still report, each line inconclusive
+        for samples in (1, 2, 10):
+            for seed in range(60):
+                config = RunConfig(seed=seed, samples=samples)
+                reports = loopsoup.checks.run(loopsoup.checks.MC, config)
+                assert all(r.outcome == "inconclusive" for r in reports), (samples, seed)
+
+    def test_zero_standard_error_exits_3(self, capsys):
+        # the ten two-state soups of seed 0's occupation transform are all
+        # empty, so that transform has zero spread and an infinite sigma count
+        assert main(["mc", "--seed", "0", "--samples", "10"]) == 3
+        out = capsys.readouterr().out
+        assert "[INCONCLUSIVE] occupation-transform-mc: value=inf" in out
+
     def test_seed_change_keeps_verdicts(self, tmp_path, capsys):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         assert main(["mc", "--samples", "1500", "--seed", "3", "--out", str(a)]) == 0

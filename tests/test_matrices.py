@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from loopsoup import checks
 from loopsoup import matrices as mx
 from loopsoup.errors import (
     InvalidMatrix,
@@ -185,28 +186,34 @@ def _series_tail(q, length):
 class TestGreens:
     def test_one_point_value(self):
         g = mx.greens_exact(one_point(0.4))
-        assert g.diagonal("x") == pytest.approx(1.0 / 0.6)
+        assert g[0, 0] == pytest.approx(1.0 / 0.6)
 
     def test_two_state_values(self):
         g = mx.greens_exact(two_state())
         expect = np.array([[4 / 3, 2 / 3], [2 / 3, 4 / 3]])
-        np.testing.assert_allclose(g.entries, expect, rtol=1e-12)
+        np.testing.assert_allclose(g, expect, rtol=1e-12)
 
     def test_inverse_residual(self):
         q = random_acceptable(5, 0.8, seed=11, complex_entries=True)
         g = mx.greens_exact(q)
-        residual = (np.eye(5) - q.entries) @ g.entries - np.eye(5)
+        residual = (np.eye(5) - q.entries) @ g - np.eye(5)
         assert np.max(np.abs(residual)) <= 1e-10
 
     def test_not_acceptable_raises(self):
         with pytest.raises(NotAcceptable):
             mx.greens_exact(one_point(1.2))
 
+    def test_returns_read_only_array(self):
+        g = mx.greens_exact(two_state())
+        assert isinstance(g, np.ndarray) and g.dtype == np.complex128
+        with pytest.raises(ValueError):
+            g[0, 0] = 0.0
+
     # the partial Neumann sums of G are within the largest entry of the
     # exact |Q| remainder, abs_resolvent_tail(|Q|, L + 1, I)
     def test_series_converges_within_bound(self):
         q = random_acceptable(4, 0.6, seed=3, complex_entries=True)
-        exact = mx.greens_exact(q).entries
+        exact = mx.greens_exact(q)
         for length in (0, 3, 10, 40):
             err = np.max(np.abs(neumann_partial(q.entries, length) - exact))
             assert err <= _series_tail(q, length) + 1e-15
@@ -216,7 +223,7 @@ class TestGreens:
         # |Q| far from normal: n rho^(L+1) / (1 - rho) claimed 0.0625 at L=5
         # against a true error of 43.75
         q = mx.WeightMatrix.from_entries(("a", "b"), [[0.5, 100.0], [0.0, 0.5]])
-        exact = mx.greens_exact(q).entries
+        exact = mx.greens_exact(q)
         err = np.max(np.abs(neumann_partial(q.entries, length) - exact))
         # the bound is the exact remainder here, so allow a few ulps
         assert err <= _series_tail(q, length) + 4 * np.spacing(np.max(np.abs(exact)))
@@ -228,8 +235,8 @@ class TestGreens:
     def test_nonnegative_entries_for_positive_q(self):
         q = two_state()
         g = mx.greens_exact(q)
-        assert np.all(g.entries.real >= 0)
-        assert np.max(np.abs(g.entries.imag)) <= 1e-14
+        assert np.all(g.real >= 0)
+        assert np.max(np.abs(g.imag)) <= 1e-14
 
 
 class TestDetLaplacian:
@@ -284,15 +291,15 @@ class TestFirstReturn:
         # which reads G from a solve on the whole space
         q = random_acceptable(4, 0.7, seed=5, complex_entries=True)
         g = mx.greens_exact(q)
-        for label in q.space.labels:
+        for i, label in enumerate(q.space.labels):
             f = mx.first_return_weight(q, label)
-            assert f == pytest.approx(1 - 1 / g.diagonal(label), rel=1e-10)
-            assert g.diagonal(label) * (1 - f) == pytest.approx(1.0, rel=1e-10)
+            assert f == pytest.approx(1 - 1 / g[i, i], rel=1e-10)
+            assert g[i, i] * (1 - f) == pytest.approx(1.0, rel=1e-10)
 
     def test_brute_force_agrees(self):
         q = random_acceptable(4, 0.6, seed=6, complex_entries=True)
         exact = mx.first_return_weight(q, "s1")
-        partial, tail = mx.first_return_weight(q, "s1", mode="brute_force", length=60)
+        partial, tail = checks._first_return_series(q, "s1", length=60)
         assert abs(partial - exact) <= tail + 1e-14
 
     def test_hermitian_first_return_is_real(self):

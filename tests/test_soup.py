@@ -198,7 +198,7 @@ class TestSoupSampler:
         # mean discrete occupation is t * (G(x,x) - 1)
         g = greens_exact(q)
         for j, label in enumerate(q.space.labels):
-            expect = t * (g.diagonal(label).real - 1.0)
+            expect = t * (g[j, j].real - 1.0)
             sigma = ell[j] / n_soups / math.sqrt(n_soups)  # crude scale
             assert abs(ell[j] / n_soups - expect) < 6 * max(sigma, 1e-3)
 

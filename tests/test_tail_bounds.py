@@ -15,6 +15,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from loopsoup import checks
 from loopsoup import fixtures as fx
 from loopsoup import loops as lp
 from loopsoup import matrices as mx
@@ -75,7 +76,7 @@ def _rounding(g: np.ndarray) -> float:
 @given(ADVERSARIAL, st.integers(0, 60))
 def test_greens_series_error_within_tail(a, length):
     q = _weights(a)
-    exact = mx.greens_exact(q).entries
+    exact = mx.greens_exact(q)
     tail = np.max(mx.abs_resolvent_tail(np.abs(a), length + 1, np.eye(len(a))))
     err = np.max(np.abs(neumann_partial(q.entries, length) - exact))
     assert err <= tail + _rounding(exact)
@@ -90,7 +91,7 @@ def test_loop_mass_error_within_tail(a, max_len):
     sign, logdet = np.linalg.slogdet(np.eye(len(a)) - a)
     assert sign > 0
     err = abs(mass.value + logdet)
-    assert err <= mass.tail_bound + _rounding(mx.greens_exact(q).entries)
+    assert err <= mass.tail_bound + _rounding(mx.greens_exact(q))
 
 
 @settings(max_examples=45, deadline=None)
@@ -107,7 +108,7 @@ def test_meeting_mass_error_within_tail(a, max_len, data):
     sign_rest, logdet_rest = np.linalg.slogdet(np.eye(len(rest)) - a[np.ix_(rest, rest)])
     assert sign > 0 and sign_rest > 0
     err = abs(mass.value - (logdet_rest - logdet))
-    assert err <= mass.tail_bound + _rounding(mx.greens_exact(q).entries)
+    assert err <= mass.tail_bound + _rounding(mx.greens_exact(q))
 
 
 @settings(max_examples=45, deadline=None)
@@ -116,8 +117,8 @@ def test_first_return_error_within_tail(a, length, data):
     q = _weights(a)
     site = f"s{data.draw(st.integers(0, len(a) - 1))}"
     exact = mx.first_return_weight(q, site)
-    partial, tail = mx.first_return_weight(q, site, mode="brute_force", length=length)
-    assert abs(partial - exact) <= tail + _rounding(mx.greens_exact(q).entries)
+    partial, tail = checks._first_return_series(q, site, length=length)
+    assert abs(partial - exact) <= tail + _rounding(mx.greens_exact(q))
 
 
 FIXED = {
@@ -145,5 +146,5 @@ def test_exact_tails_within_envelopes(name, length):
     assert lp.loop_mass_truncated(q, length).tail_bound <= envelope / (length + 1)
     assert lp.meeting_mass_truncated(q, half, length).tail_bound <= envelope / (length + 1)
     for site in q.space.labels:
-        _, tail = mx.first_return_weight(q, site, mode="brute_force", length=length)
+        _, tail = checks._first_return_series(q, site, length=length)
         assert tail <= envelope

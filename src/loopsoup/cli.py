@@ -68,12 +68,12 @@ def _sample_records(args, seed: int):
     sampler = soup.SoupSampler(q, args.intensity)
     if args.what == "soup":
         for i in range(n):
-            realization = sampler.sample(streams(i))
+            loops = sampler.sample(streams(i))
             yield record(
                 "soup",
                 i,
-                count=len(realization.loops),
-                loops=[list(lo.sites) for lo in realization.loops],
+                count=len(loops),
+                loops=[list(lo.sites) for lo in loops],
             )
         return
     # occupation field, as plain int and float lists per site

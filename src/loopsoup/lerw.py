@@ -114,12 +114,10 @@ class BruteForceLerw:
     """Accumulated walk weight by erased path, from one start site.
 
     ``tail_bound`` dominates the total absolute weight of all stopped walks
-    from the start longer than ``max_steps``, so each per-path weight is
-    within that bound of its true value.
+    from the start longer than the sweep's ``max_steps``, so each per-path
+    weight is within that bound of its true value.
     """
 
-    start: str
-    max_steps: int
     weights: dict[tuple[str, ...], complex]
     tail_bound: float
 
@@ -186,9 +184,7 @@ def lerw_weights_bruteforce(
         layer = nxt
     labels = space.labels
     weights = {tuple(labels[i] for i in key): val for key, val in acc.items()}
-    return BruteForceLerw(
-        start=start, max_steps=max_steps, weights=weights, tail_bound=tail
-    )
+    return BruteForceLerw(weights=weights, tail_bound=tail)
 
 
 def self_avoiding_paths(problem: BoundaryProblem, start: str) -> list[tuple[str, ...]]:

@@ -26,7 +26,6 @@ from .errors import InvalidPath, TooLarge
 from .matrices import (
     WeightMatrix,
     abs_resolvent_tail,
-    det_laplacian,
     greens_exact,
     require_acceptable,
     restrict,
@@ -39,10 +38,8 @@ __all__ = [
     "loop_prefix_sums",
     "loop_mass_per_length",
     "mass_tail",
-    "loop_mass_truncated",
     "meeting_mass_truncated",
     "exp_truncated",
-    "exp_loop_mass_det",
     "exp_meeting_mass_greens",
 ]
 
@@ -195,7 +192,6 @@ class TruncatedMass:
 
     value: complex
     tail_bound: float
-    length: int
 
 
 def mass_tail(entries: np.ndarray, max_len: int) -> float:
@@ -208,17 +204,11 @@ def mass_tail(entries: np.ndarray, max_len: int) -> float:
     return float(np.trace(remainder)) / (max_len + 1)
 
 
-def loop_mass_truncated(q: WeightMatrix, max_len: int) -> TruncatedMass:
-    """Mass of all rooted loops up to max_len, with tail bound."""
-    require_acceptable(q)
-    value = complex(loop_mass_per_length(q, max_len).sum())
-    return TruncatedMass(value, mass_tail(q.entries, max_len), max_len)
-
-
 def meeting_mass_truncated(
     q: WeightMatrix, sites: Sequence[str], max_len: int
 ) -> TruncatedMass:
-    """Mass of rooted loops visiting at least one of ``sites``.
+    """Mass of rooted loops visiting at least one of ``sites``; with every
+    site listed, the total loop mass -log det(I - Q).
 
     Computed per length as [tr(Q^n) - tr(Q_rest^n)] / n where Q_rest drops
     the rows and columns of ``sites``; the subtracted term is exactly the
@@ -228,7 +218,7 @@ def meeting_mass_truncated(
     require_acceptable(q)
     hit = set(sites)
     if not hit:
-        return TruncatedMass(0.0 + 0.0j, 0.0, max_len)
+        return TruncatedMass(0.0 + 0.0j, 0.0)
     for label in hit:
         q.space.index(label)
     total = loop_mass_per_length(q, max_len)
@@ -237,7 +227,7 @@ def meeting_mass_truncated(
         rest = restrict(q, [lab for lab in q.space.labels if lab not in hit])
         total = total - loop_mass_per_length(rest, max_len)
         tail = max(tail - mass_tail(rest.entries, max_len), 0.0)
-    return TruncatedMass(complex(total.sum()), tail, max_len)
+    return TruncatedMass(complex(total.sum()), tail)
 
 
 def exp_truncated(mass: TruncatedMass) -> tuple[complex, float]:
@@ -251,12 +241,6 @@ def exp_truncated(mass: TruncatedMass) -> tuple[complex, float]:
         return complex(value), abs(value) * math.expm1(mass.tail_bound)
     except OverflowError:
         return complex(value), math.inf
-
-
-def exp_loop_mass_det(q: WeightMatrix) -> complex:
-    """exp of the total loop mass in closed form, 1/det(I - Q)."""
-    require_acceptable(q)
-    return 1.0 / det_laplacian(q)
 
 
 def exp_meeting_mass_greens(q: WeightMatrix, sites: Sequence[str]) -> complex:

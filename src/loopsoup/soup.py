@@ -41,7 +41,6 @@ from .loops import RootedLoop, TruncatedMass, exp_truncated, loop_prefix_sums
 from .loops import mass_tail
 from .matrices import (
     WeightMatrix,
-    _lu_solve,
     det_laplacian,
     lu_det,
     perturb,
@@ -52,7 +51,6 @@ from .rng import Substreams
 __all__ = [
     "complex_poisson_weights",
     "complex_poisson_variation",
-    "LoopSoup",
     "SoupSampler",
     "discrete_occupation",
     "continuous_occupation",
@@ -129,14 +127,6 @@ def complex_poisson_variation(lam: complex) -> float:
 
 
 # --- exact soup sampling (nonnegative weights) ------------------------------
-
-
-@dataclass(frozen=True)
-class LoopSoup:
-    """One realization: the loops present, with the intensity that drew them."""
-
-    intensity: float
-    loops: tuple[RootedLoop, ...]
 
 
 class SoupSampler:
@@ -238,10 +228,9 @@ class SoupSampler:
     def sample_loop(self, rng: np.random.Generator) -> RootedLoop:
         return RootedLoop(tuple(self._sites(rng)))
 
-    def sample(self, rng: np.random.Generator) -> LoopSoup:
+    def sample(self, rng: np.random.Generator) -> tuple[RootedLoop, ...]:
         count = int(rng.poisson(self.intensity * self.total_mass))
-        loops = tuple(self.sample_loop(rng) for _ in range(count))
-        return LoopSoup(intensity=self.intensity, loops=loops)
+        return tuple(self.sample_loop(rng) for _ in range(count))
 
     def occupation(
         self, rng: np.random.Generator, trivial_shape: float
@@ -272,10 +261,10 @@ def _require_shape(trivial_shape: float) -> None:
         raise InvalidShape(f"trivial shape must be finite and >= 0, got {trivial_shape}")
 
 
-def discrete_occupation(soup: LoopSoup, n_sites: int) -> np.ndarray:
+def discrete_occupation(soup: Iterable[RootedLoop], n_sites: int) -> np.ndarray:
     """Total visit counts per site over all loops in the soup."""
     counts = [0] * n_sites
-    for loop in soup.loops:
+    for loop in soup:
         sites = loop.sites
         if min(sites) < 0 or max(sites) >= n_sites:
             raise InvalidPath(f"loop visits a site outside 0..{n_sites - 1}")
@@ -346,7 +335,6 @@ class TransformEstimate:
 
     value: complex
     stderr: float
-    n_samples: int
 
 
 def empirical_transform(fields: np.ndarray, f: Sequence[complex]) -> TransformEstimate:
@@ -374,7 +362,7 @@ def empirical_transform(fields: np.ndarray, f: Sequence[complex]) -> TransformEs
     mean = complex(values.mean())
     n = len(values)
     stderr = float(np.sqrt((np.abs(values - mean) ** 2).mean() / n))
-    return TransformEstimate(value=mean, stderr=stderr, n_samples=n)
+    return TransformEstimate(value=mean, stderr=stderr)
 
 
 def _is_integer(t: complex) -> bool:
@@ -407,7 +395,8 @@ def nu_transform_closed(q: WeightMatrix, f: Sequence[complex], t: complex) -> co
     ratio_full = base / lu_det(np.eye(q.n) - perturb(q, vec).entries)
     if _is_integer(t):
         return complex(ratio_full ** int(round(complex(t).real)))
-    nu = np.linalg.eigvals(_lu_solve(np.eye(q.n) - q.entries, np.diag(vec)))
+    # det_laplacian(q) has just passed the same matrix's pivot check
+    nu = np.linalg.eigvals(np.linalg.solve(np.eye(q.n) - q.entries, np.diag(vec)))
     z = np.concatenate((vec, nu))
     # the point of each segment 1 + s z, s in [0, 1], nearest to 0
     nearest = np.clip(-z.real / (np.abs(z) ** 2 + (z == 0)), 0.0, 1.0)
@@ -474,7 +463,7 @@ def _loop_sum_check(
     q_f = perturb(q, vec)
     require_acceptable(q_f)
     tail = 2.0 * mass_tail(q.entries, max_len) + 2.0 * mass_tail(q_f.entries, max_len)
-    mass = TruncatedMass(complex(intensity * exponent), abs(intensity) * tail, max_len)
+    mass = TruncatedMass(complex(intensity * exponent), abs(intensity) * tail)
     summed, slack = exp_truncated(mass)
     return LoopSumCheck(closed=closed, summed=summed, slack=slack)
 

@@ -211,13 +211,24 @@ def spanning_tree_probability(
     branches is the tree's probability, and it comes out as
     1 / (number of spanning trees) whatever the tree: the sampler is uniform.
     """
+    if not (0 <= root < graph.n):
+        raise InvalidGraph(f"root {root} out of range")
     edge_set = {(min(i, j), max(i, j)) for i, j in tree}
-    if len(edge_set) != graph.n - 1 or not _spans(graph.n, sorted(edge_set)):
+    spans = edge_set <= set(graph.edges) and _spans(graph.n, sorted(edge_set))
+    if len(edge_set) != graph.n - 1 or not spans:
         raise InvalidGraph("edge set is not a spanning tree of the graph")
     tree_adj: list[list[int]] = [[] for _ in range(graph.n)]
     for i, j in edge_set:
         tree_adj[i].append(j)
         tree_adj[j].append(i)
+    # toward[u]: u's neighbor on its tree path to the root, which enters the grown part
+    toward = {root: root}
+    queue = [root]
+    for u in queue:
+        for w in tree_adj[u]:
+            if w not in toward:
+                toward[w] = u
+                queue.append(w)
 
     weights = srw_weights(graph)
     labels = graph.vertices
@@ -226,8 +237,9 @@ def spanning_tree_probability(
     for v in range(graph.n):
         if v in grown:
             continue
-        # unique tree path from v to the grown component
-        path = _tree_path_to(tree_adj, v, grown)
+        path = [v]
+        while path[-1] not in grown:
+            path.append(toward[path[-1]])
         interior = [labels[u] for u in range(graph.n) if u not in grown]
         boundary = [labels[u] for u in sorted(grown)]
         problem = BoundaryProblem(weights, tuple(interior), tuple(boundary))
@@ -238,25 +250,6 @@ def spanning_tree_probability(
         prob *= w.real
         grown.update(path)
     return prob
-
-
-def _tree_path_to(tree_adj: list[list[int]], start: int, targets: set[int]) -> list[int]:
-    # BFS in the tree from start until hitting the target component
-    prev = {start: None}
-    queue = [start]
-    for v in queue:
-        if v in targets:
-            path = []
-            node: int | None = v
-            while node is not None:
-                path.append(node)
-                node = prev[node]
-            return path[::-1]
-        for w in tree_adj[v]:
-            if w not in prev:
-                prev[w] = v
-                queue.append(w)
-    raise InvalidGraph("tree does not connect to the root component")
 
 
 class WilsonSampler:

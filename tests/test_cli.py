@@ -5,6 +5,7 @@ import re
 import signal
 import subprocess
 import sys
+import warnings
 from contextlib import contextmanager
 from decimal import Decimal, localcontext
 from pathlib import Path
@@ -300,12 +301,23 @@ class TestMcCommand:
 
     def test_runs_without_spread_are_inconclusive(self):
         # a sample of one has no spread, and a few often have none: every
-        # seed must still report, each line inconclusive
-        for samples in (1, 2, 10):
-            for seed in range(60):
-                config = RunConfig(seed=seed, samples=samples)
-                reports = loopsoup.checks.run(loopsoup.checks.MC, config)
-                assert all(r.outcome == "inconclusive" for r in reports), (samples, seed)
+        # seed must still report, each line inconclusive, and warn of nothing
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for samples in (1, 2, 10):
+                for seed in range(60):
+                    config = RunConfig(seed=seed, samples=samples)
+                    reports = loopsoup.checks.run(loopsoup.checks.MC, config)
+                    assert all(r.outcome == "inconclusive" for r in reports), (samples, seed)
+
+    def test_one_draw_has_infinite_moment_sigmas(self, capsys):
+        # one draw has no standard error, so its sigma count is inf, not nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["mc", "--seed", "0", "--samples", "1"]) == 3
+        captured = capsys.readouterr()
+        assert "[INCONCLUSIVE] squared-field-moments: value=inf" in captured.out
+        assert "Warning" not in captured.err
 
     def test_zero_standard_error_exits_3(self, capsys):
         # the ten two-state soups of seed 0's occupation transform are all
@@ -366,7 +378,7 @@ class TestMcCommand:
         # soups themselves have exactly that many loops
         sampler = soup.SoupSampler(fx.two_state(), 1.0)
         expected = [
-            len(sampler.sample(substream(42, 3 * _STREAM_BLOCK + i)).loops)
+            len(sampler.sample(substream(42, 3 * _STREAM_BLOCK + i)))
             for i in range(200)
         ]
         assert _soup_loop_counts(sampler, 42, 200) == expected

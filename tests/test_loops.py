@@ -417,7 +417,7 @@ class TestLoopWeight:
         assert lp.loop_prefix_sums(q, 4, np.ones(3))[0, 3] == pytest.approx(want, rel=1e-12)
 
     def test_local_times_count_steps(self):
-        soup = sp.LoopSoup(1.0, (lp.RootedLoop((0, 2, 0, 1)),))
+        soup = (lp.RootedLoop((0, 2, 0, 1)),)
         np.testing.assert_array_equal(sp.discrete_occupation(soup, 4), [2, 1, 1, 0])
 
 
@@ -441,13 +441,14 @@ def _mass_enumerated(q, max_len, meeting=None):
 class TestMasses:
     def test_one_point_log_series(self):
         # mass of all loops at a single q-site is -log(1 - q)
-        mass = lp.loop_mass_truncated(one_point(0.5), max_len=60)
+        q = one_point(0.5)
+        mass = lp.meeting_mass_truncated(q, q.space.labels, max_len=60)
         assert mass.value == pytest.approx(-math.log(0.5), abs=1e-15 + mass.tail_bound)
 
     def test_trace_route_matches_enumeration(self):
         q = random_acceptable(3, 0.6, seed=47, complex_entries=True)
         lit = _mass_enumerated(q, max_len=8)
-        tr = lp.loop_mass_truncated(q, max_len=8)
+        tr = lp.meeting_mass_truncated(q, q.space.labels, max_len=8)
         assert lit == pytest.approx(tr.value, rel=1e-10)
 
     def test_meeting_trace_matches_enumeration(self):
@@ -458,15 +459,9 @@ class TestMasses:
 
     def test_tail_bound_covers_rest(self):
         q = random_acceptable(4, 0.7, seed=59, complex_entries=True)
-        short = lp.loop_mass_truncated(q, max_len=10)
-        long = lp.loop_mass_truncated(q, max_len=200)
+        short = lp.meeting_mass_truncated(q, q.space.labels, max_len=10)
+        long = lp.meeting_mass_truncated(q, q.space.labels, max_len=200)
         assert abs(long.value - short.value) <= short.tail_bound
-
-    def test_meeting_all_sites_is_total(self):
-        q = random_acceptable(3, 0.5, seed=61)
-        total = lp.loop_mass_truncated(q, max_len=12)
-        meet = lp.meeting_mass_truncated(q, list(q.space.labels), max_len=12)
-        assert meet.value == pytest.approx(total.value, rel=1e-12)
 
     def test_meeting_empty_is_zero(self):
         q = two_state()
@@ -476,9 +471,9 @@ class TestMasses:
 class TestExpIdentities:
     def test_exp_total_equals_inverse_det(self):
         q = random_acceptable(4, 0.6, seed=67, complex_entries=True)
-        mass = lp.loop_mass_truncated(q, max_len=80)
+        mass = lp.meeting_mass_truncated(q, q.space.labels, max_len=80)
         approx, bound = lp.exp_truncated(mass)
-        assert abs(approx - lp.exp_loop_mass_det(q)) <= bound + 1e-12
+        assert abs(approx - 1.0 / mx.det_laplacian(q)) <= bound + 1e-12
 
     def test_exp_meeting_equals_greens_product(self):
         q = random_acceptable(4, 0.6, seed=71, complex_entries=True)
@@ -498,7 +493,7 @@ class TestExpIdentities:
     def test_greens_product_all_sites_is_det_formula(self):
         q = random_acceptable(3, 0.6, seed=79, complex_entries=True)
         full = lp.exp_meeting_mass_greens(q, list(q.space.labels))
-        assert full == pytest.approx(lp.exp_loop_mass_det(q), rel=1e-10)
+        assert full == pytest.approx(1.0 / mx.det_laplacian(q), rel=1e-10)
 
     def test_single_site_meeting_is_greens_diagonal(self):
         # loops through one site exponentiate to G(x, x)
@@ -508,7 +503,7 @@ class TestExpIdentities:
 
     def test_one_point_greens(self):
         q = one_point(0.4)
-        assert lp.exp_loop_mass_det(q) == pytest.approx(1 / 0.6, rel=1e-12)
+        assert 1.0 / mx.det_laplacian(q) == pytest.approx(1 / 0.6, rel=1e-12)
 
     def test_repeated_site_rejected(self):
         with pytest.raises(InvalidPath):

@@ -142,6 +142,32 @@ class TestTreeProbability:
         with pytest.raises(InvalidGraph):
             sp.spanning_tree_probability(g, [(0, 1), (1, 2)])
 
+    @pytest.mark.parametrize(
+        "edges",
+        [[(0, 2), (0, 1), (0, 3)], [(0, 1), (1, 2), (2, 7)], [(0, 1), (1, 2), (2, -1)]],
+        ids=["non-edge", "past-the-end", "negative"],
+    )
+    def test_edges_outside_the_graph_rejected(self, edges):
+        # (0, 2) is no edge of the 4-cycle; 7 and -1 are no vertex of it
+        with pytest.raises(InvalidGraph, match="not a spanning tree of the graph"):
+            sp.spanning_tree_probability(graph(cycle_graph(4)), edges)
+
+    @pytest.mark.parametrize("root", [4, -1])
+    def test_root_out_of_range_rejected(self, root):
+        with pytest.raises(InvalidGraph, match="out of range"):
+            sp.spanning_tree_probability(graph(cycle_graph(4)), [(0, 1), (1, 2), (2, 3)], root)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("root", [0, 5])
+    def test_every_tree_of_a_random_graph_is_uniform(self, seed, root):
+        # the graphs behind verify's matrix-tree-count check, from two roots
+        g = graph(random_connected_graph(6, 5, seed=seed))
+        trees = sp.enumerate_spanning_trees(g)
+        count = sp.tree_count_det(g)
+        for t in trees:
+            p = sp.spanning_tree_probability(g, t, root=root)
+            assert abs(p * count - 1.0) <= 1e-10
+
 
 class TestWilson:
     def test_samples_are_spanning_trees(self):

@@ -86,7 +86,7 @@ def test_greens_series_error_within_tail(a, length):
 @given(ADVERSARIAL, st.integers(1, 60))
 def test_loop_mass_error_within_tail(a, max_len):
     q = _weights(a)
-    mass = lp.loop_mass_truncated(q, max_len)
+    mass = lp.meeting_mass_truncated(q, q.space.labels, max_len)
     # real acceptable Q: det(I - Q) > 0 and the total mass is -log det(I - Q)
     sign, logdet = np.linalg.slogdet(np.eye(len(a)) - a)
     assert sign > 0
@@ -143,8 +143,9 @@ def test_exact_tails_within_envelopes(name, length):
     q = FIXED[name]
     envelope = _envelope(q, length) * (1 + 1e-12)
     half = list(q.space.labels[: max(1, q.n // 2)])
-    assert lp.loop_mass_truncated(q, length).tail_bound <= envelope / (length + 1)
-    assert lp.meeting_mass_truncated(q, half, length).tail_bound <= envelope / (length + 1)
+    per_length = envelope / (length + 1)
+    assert lp.meeting_mass_truncated(q, q.space.labels, length).tail_bound <= per_length
+    assert lp.meeting_mass_truncated(q, half, length).tail_bound <= per_length
     for site in q.space.labels:
         _, tail = checks._first_return_series(q, site, length=length)
         assert tail <= envelope

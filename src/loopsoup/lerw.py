@@ -19,11 +19,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidPath, NotAcceptable, TooLarge
+from .errors import InvalidPath, TooLarge
 from .matrices import (
     WeightMatrix,
     abs_resolvent_tail,
-    acceptability,
+    require_acceptable,
     restrict,
 )
 from .loops import DEFAULT_BUDGET, exp_meeting_mass_greens
@@ -72,11 +72,7 @@ class BoundaryProblem:
         if not self.interior or not self.boundary:
             raise InvalidPath("need at least one interior and one boundary site")
         sub = restrict(self.weights, self.interior)
-        cert = acceptability(sub)
-        if not cert.acceptable:
-            raise NotAcceptable(
-                f"interior block has rho(|Q|) = {cert.spectral_radius_abs:.6g}"
-            )
+        require_acceptable(sub)
         object.__setattr__(self, "interior_weights", sub)
 
     def split_path(self, eta: Sequence[str]) -> tuple[list[str], str]:

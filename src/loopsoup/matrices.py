@@ -91,7 +91,6 @@ class AcceptabilityCertificate:
 
     spectral_radius_abs: float
     acceptable: bool
-    margin: float
 
 
 @dataclass(frozen=True)
@@ -197,7 +196,6 @@ def acceptability(q: WeightMatrix) -> AcceptabilityCertificate:
         cert = AcceptabilityCertificate(
             spectral_radius_abs=rho,
             acceptable=rho < 1.0 - TOL_ACCEPT,
-            margin=1.0 - rho,
         )
         object.__setattr__(q, "_certificate", cert)
     return q._certificate

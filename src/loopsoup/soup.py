@@ -35,6 +35,7 @@ from .errors import (
     InvalidShape,
     NotPositive,
     NumericalFailure,
+    NumericallySingular,
     TooLarge,
 )
 from .loops import RootedLoop, TruncatedMass, exp_truncated, loop_prefix_sums
@@ -42,7 +43,7 @@ from .loops import mass_tail
 from .matrices import (
     WeightMatrix,
     det_laplacian,
-    lu_det,
+    greens_exact,
     perturb,
     require_acceptable,
 )
@@ -373,15 +374,15 @@ def nu_transform_closed(q: WeightMatrix, f: Sequence[complex], t: complex) -> co
     """E[exp(-<f, field>)] for the bare occupation field, in closed form.
 
     Equals [det(I - Q) / det(I - Q_f)]^t with Q_f the row rescaling of Q by
-    1/(1+f).  Integer t needs no branch choice.  Otherwise the power uses
-    the continuous branch along the segment s*f, s in [0, 1], anchored at 1
-    when f = 0.  Along it the ratio is prod_x (1 + s f(x)) / prod_i (1 + s
-    nu_i), nu being the eigenvalues of G diag(f): its argument is sum
-    Arg(1 + f(x)) - sum Arg(1 + nu_i), its modulus that of the full ratio.
-    f is set to 0 first, for every t, at sites no loop visits: there the
-    ratio does not depend on f, so 1 + f = 0 is no pole.  BranchError is
-    raised when a factor's segment [1, 1 + z] passes within 1e-9 of 0, a
-    zero or pole of the ratio.
+    1/(1+f), that is [prod_x (1 + f(x)) / prod_i (1 + nu_i)]^t with nu the
+    eigenvalues of G diag(f), G from ``greens_exact``, which gates q.  A pole
+    |1 + nu_i| < 1e-9 raises NumericallySingular.  Integer t needs no branch
+    choice.  Otherwise the power uses the continuous branch along the segment
+    s*f, s in [0, 1], anchored at 1 when f = 0: its log is the sum of the
+    principal logs of 1 + f(x) less those of 1 + nu_i.  f is set to 0 first,
+    for every t, at sites no loop visits: there the ratio does not depend on
+    f, so 1 + f = 0 is no pole.  BranchError is raised when a factor's
+    segment [1, 1 + z] passes within 1e-9 of 0, a zero or pole of the ratio.
     """
     vec = np.asarray(f, dtype=np.complex128)
     if vec.shape != (q.n,):
@@ -391,19 +392,19 @@ def nu_transform_closed(q: WeightMatrix, f: Sequence[complex], t: complex) -> co
     for _ in range(q.n.bit_length()):
         reach = reach | reach @ reach
     vec = np.where(reach.diagonal(), vec, 0.0)
-    base = det_laplacian(q)
-    ratio_full = base / lu_det(np.eye(q.n) - perturb(q, vec).entries)
+    if np.any(vec == -1.0):
+        raise ZeroDivisionError("1 + f vanishes at some site")
+    nu = np.linalg.eigvals(greens_exact(q) * vec)
+    if np.min(np.abs(1.0 + nu)) < _BRANCH_TOL:
+        raise NumericallySingular("1 + nu vanishes: f sits on a pole of the ratio")
     if _is_integer(t):
-        return complex(ratio_full ** int(round(complex(t).real)))
-    # det_laplacian(q) has just passed the same matrix's pivot check
-    nu = np.linalg.eigvals(np.linalg.solve(np.eye(q.n) - q.entries, np.diag(vec)))
+        return complex((np.prod(1.0 + vec) / np.prod(1.0 + nu)) ** int(round(complex(t).real)))
     z = np.concatenate((vec, nu))
     # the point of each segment 1 + s z, s in [0, 1], nearest to 0
     nearest = np.clip(-z.real / (np.abs(z) ** 2 + (z == 0)), 0.0, 1.0)
     if np.min(np.abs(1.0 + nearest * z)) < _BRANCH_TOL:
         raise BranchError("transform path crosses or grazes a zero or pole of the ratio")
-    total_arg = float(np.angle(1.0 + vec).sum() - np.angle(1.0 + nu).sum())
-    log_ratio = math.log(abs(ratio_full)) + 1j * total_arg
+    log_ratio = np.log(1.0 + vec).sum() - np.log(1.0 + nu).sum()
     return complex(np.exp(t * log_ratio))
 
 
@@ -451,7 +452,6 @@ def _loop_sum_check(
     each rotation class from its lowest site and weighs it by its number of
     rooted loops, so S stays the literal rooted loop sum.
     """
-    require_acceptable(q)
     vec = np.asarray(f, dtype=np.complex128)
     closed = nu_transform_closed(q, vec, 2 * intensity if reversal else intensity)
     sums = loop_prefix_sums(q, max_len, 1.0 / (1.0 + vec), reverse=reversal)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -47,6 +48,11 @@ _MAX_WILSON_STEPS = 10**8
 _WILSON_BLOCK = 1024
 
 
+def _is_vertex(v, n: int) -> bool:
+    """Whether v is a whole vertex number in 0..n-1; a bool is not one."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool) and 0 <= v < n
+
+
 @dataclass(frozen=True)
 class SimpleGraph:
     """Undirected simple graph with labeled vertices.
@@ -71,8 +77,8 @@ class SimpleGraph:
                 i, j = e
             except (TypeError, ValueError):
                 raise InvalidGraph(f"edge {e!r} is not a pair") from None
-            if not (0 <= i < n and 0 <= j < n):
-                raise InvalidGraph(f"edge {e!r} has an out-of-range endpoint")
+            if not (_is_vertex(i, n) and _is_vertex(j, n)):
+                raise InvalidGraph(f"edge {e!r} has an endpoint that is no vertex in 0..{n - 1}")
             if i == j:
                 raise InvalidGraph(f"self-loop at vertex {i}")
             key = (min(i, j), max(i, j))
@@ -211,10 +217,14 @@ def spanning_tree_probability(
     branches is the tree's probability, and it comes out as
     1 / (number of spanning trees) whatever the tree: the sampler is uniform.
     """
-    if not (0 <= root < graph.n):
+    if not _is_vertex(root, graph.n):
         raise InvalidGraph(f"root {root} out of range")
-    edge_set = {(min(i, j), max(i, j)) for i, j in tree}
-    spans = edge_set <= set(graph.edges) and _spans(graph.n, sorted(edge_set))
+    try:
+        edge_set = {(min(i, j), max(i, j)) for i, j in tree}
+        vertices = all(_is_vertex(v, graph.n) for e in edge_set for v in e)
+    except (TypeError, ValueError):  # an edge that is not a pair of numbers
+        edge_set, vertices = set(), False
+    spans = vertices and edge_set <= set(graph.edges) and _spans(graph.n, sorted(edge_set))
     if len(edge_set) != graph.n - 1 or not spans:
         raise InvalidGraph("edge set is not a spanning tree of the graph")
     tree_adj: list[list[int]] = [[] for _ in range(graph.n)]
@@ -289,7 +299,7 @@ class WilsonSampler:
     def __init__(self, graph: SimpleGraph, root: int = 0) -> None:
         if not graph.is_connected():
             raise Disconnected("Wilson sampling needs a connected graph")
-        if not (0 <= root < graph.n):
+        if not _is_vertex(root, graph.n):
             raise InvalidGraph(f"root {root} out of range")
         self.n = graph.n
         self.root = root

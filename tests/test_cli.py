@@ -152,6 +152,14 @@ class TestBadDocuments:
         assert main(["verify", "--config", cfg]) == 2
         assert "labels" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("end", [1.0, True], ids=["float", "bool"])
+    def test_graph_endpoint_that_is_no_vertex_exits_2(self, tmp_path, end, capsys):
+        doc = {"vertices": ["a", "b", "c"], "edges": [[0, end], [1, 2]]}
+        path = write_json(tmp_path / "g.json", doc)
+        argv = ["sample", "--what", "tree", "--n", "1", "--graph", path]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestCheckReport:
     def test_console_line_shows_comparator(self):

@@ -149,11 +149,6 @@ class TestSpectralRadius:
 
 
 class TestAcceptability:
-    def test_margin(self):
-        cert = mx.acceptability(one_point(0.3))
-        assert cert.acceptable
-        assert cert.margin == pytest.approx(0.7)
-
     def test_boundary_rejected(self):
         cert = mx.acceptability(one_point(1.0))
         assert not cert.acceptable

@@ -9,12 +9,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from loopsoup import loops as lp
+from loopsoup import matrices as mx
 from loopsoup import soup as sp
 from loopsoup.errors import (
     BranchError,
     InvalidShape,
+    NotAcceptable,
     NotPositive,
     NumericalFailure,
+    NumericallySingular,
     TooLarge,
 )
 from loopsoup.fixtures import (
@@ -553,6 +556,56 @@ class TestTransformBranch:
         assume(_segment_clearance(q, f) > 0.05)
         want = _grid_transform(q, f, t)
         assert abs(sp.nu_transform_closed(q, f, t) - want) <= 1e-12 * abs(want)
+
+
+def _every_site_on_a_loop(q):
+    # x is on a loop when some walk of 1..n steps on the support returns to it
+    steps = q.support().astype(float)
+    walks = sum(np.linalg.matrix_power(steps, k) for k in range(1, q.n + 1))
+    return bool(np.all(walks.diagonal() > 0))
+
+
+class TestTransformFromGreens:
+    @given(_branch_inputs(), st.sampled_from([1, 2, 3]))
+    @settings(max_examples=150, deadline=None)
+    def test_integer_power_is_the_determinant_ratio(self, inputs, t):
+        q, f, _ = inputs
+        assume(_every_site_on_a_loop(q))
+        nu = np.linalg.eigvals(np.linalg.solve(np.eye(q.n) - q.entries, np.diag(f)))
+        assume(np.min(np.abs(1.0 + nu)) >= 1e-6)
+        want = (det_laplacian(q) / lu_det(np.eye(q.n) - perturb(q, f).entries)) ** t
+        assert abs(sp.nu_transform_closed(q, f, t) - want) <= 1e-12 * abs(want)
+
+    @pytest.mark.parametrize("f", [-0.5, -0.5 + 1e-11], ids=["on", "near"])
+    @pytest.mark.parametrize("t", [1.0, 0.5])
+    def test_pole_is_numerically_singular(self, f, t):
+        # G = 2 on one_point(0.5), so nu = 2 f and 1 + nu vanishes at f = -1/2
+        with pytest.raises(NumericallySingular):
+            sp.nu_transform_closed(one_point(0.5), [f], t)
+
+    @pytest.mark.parametrize("t", [1.0, 0.5])
+    def test_unacceptable_q_is_refused(self, t):
+        with pytest.raises(NotAcceptable):
+            sp.nu_transform_closed(one_point(1.2), [0.3], t)
+
+    @pytest.mark.parametrize("t", [1.0, 0.7])
+    def test_one_greens_call_and_no_determinant(self, t, monkeypatch):
+        q = random_acceptable(3, 0.5, seed=301, complex_entries=True)
+        calls = dict.fromkeys(("greens_exact", "lu_det", "det_laplacian", "perturb"), 0)
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            wrapper = counted(name, getattr(mx, name))
+            for module in (mx, sp):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, wrapper)
+        sp.nu_transform_closed(q, [0.2, 0.1 + 0.05j, 0.3], t)
+        assert calls == {"greens_exact": 1, "lu_det": 0, "det_laplacian": 0, "perturb": 0}
 
 
 class TestEmpiricalTransform:

@@ -65,6 +65,17 @@ class TestSimpleGraph:
         with pytest.raises(InvalidGraph):
             graph({"vertices": ["a", "b"], "edges": [[0, 2]]})
 
+    @pytest.mark.parametrize("end", [True, 1.0], ids=["bool", "float"])
+    def test_rejects_endpoint_that_is_no_whole_number(self, end):
+        # lap[True, True] += 1 is numpy mask indexing: read as vertex 1, True
+        # would add 1 to every Laplacian entry and count 15 trees of the 4-cycle
+        with pytest.raises(InvalidGraph):
+            sp.SimpleGraph(("a", "b", "c", "d"), ((0, end), (1, 2), (2, 3), (3, 0)))
+
+    def test_numpy_integer_endpoints_are_vertices(self):
+        ends = ((np.int64(0), np.int32(1)), (1, np.int64(2)), (2, 3), (3, 0))
+        assert sp.tree_count_det(sp.SimpleGraph(("a", "b", "c", "d"), ends)) == 4
+
     def test_connectivity(self):
         assert graph(path_graph(4)).is_connected()
         split = {"vertices": ["a", "b", "c", "d"], "edges": [[0, 1], [2, 3]]}
@@ -156,6 +167,26 @@ class TestTreeProbability:
     def test_root_out_of_range_rejected(self, root):
         with pytest.raises(InvalidGraph, match="out of range"):
             sp.spanning_tree_probability(graph(cycle_graph(4)), [(0, 1), (1, 2), (2, 3)], root)
+
+    @pytest.mark.parametrize(
+        "edges",
+        [[(0, 1), (1, 2), (2.0, 3)], [(0, 1), (1, 2), (0, 1, 2)], [(0, 1), (1, 2), 3]],
+        ids=["float-end", "triple", "number"],
+    )
+    def test_edge_that_is_no_vertex_pair_rejected(self, edges):
+        # 2.0 == 2 would pass the edge-set comparison and then index a list
+        with pytest.raises(InvalidGraph, match="not a spanning tree of the graph"):
+            sp.spanning_tree_probability(graph(cycle_graph(4)), edges)
+
+    @pytest.mark.parametrize("root", [1.0, 2.5, True], ids=["float", "fraction", "bool"])
+    def test_root_that_is_no_whole_number_rejected(self, root):
+        with pytest.raises(InvalidGraph, match="out of range"):
+            sp.spanning_tree_probability(graph(cycle_graph(4)), [(0, 1), (1, 2), (2, 3)], root)
+
+    def test_numpy_integer_tree_and_root(self):
+        g = graph(cycle_graph(4))
+        tree = [(np.int64(0), np.int64(1)), (1, 2), (2, 3)]
+        assert sp.spanning_tree_probability(g, tree, root=np.int64(1)) == pytest.approx(0.25)
 
     @pytest.mark.parametrize("seed", [1, 2])
     @pytest.mark.parametrize("root", [0, 5])
@@ -275,6 +306,12 @@ class TestWilson:
         for root in (-1, 4):
             with pytest.raises(InvalidGraph):
                 sp.WilsonSampler(graph(complete_graph(4)), root=root)
+
+    @pytest.mark.parametrize("root", [1.0, True], ids=["float", "bool"])
+    def test_root_that_is_no_whole_number_rejected_at_build(self, root):
+        # a float root would build and then fail inside sample's walks
+        with pytest.raises(InvalidGraph, match="out of range"):
+            sp.WilsonSampler(graph(complete_graph(4)), root=root)
 
     def test_deterministic_given_stream(self):
         g = graph(complete_graph(4))

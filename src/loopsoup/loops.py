@@ -11,11 +11,14 @@ and weighed by its number of rooted loops.
 Loop masses (sums of m over families of loops) are computed three ways that
 must agree: literal enumeration (budgeted), per-length matrix traces with a
 certified tail bound, and closed determinant or Green's-diagonal formulas
-for the exponentials.
+for the exponentials.  The literal sums walk shared path prefixes; the
+loops of the largest length are added from the paths two steps short of
+them, so the walk's deepest and largest level is never built.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -64,7 +67,7 @@ class RootedLoop:
         return len(self.sites)
 
 
-def prefix_walk(support, max_len, start, extend):
+def prefix_walk(support, max_len, start, extend, *, deepest=None):
     """Depth-first walk over the supported paths x_0..x_d that never step
     below their root x_0, from every root.
 
@@ -78,9 +81,13 @@ def prefix_walk(support, max_len, start, extend):
     path that cannot return to the root over sites >= root within max_len
     steps in all is not extended, nor is a root with no such loop, and
     pending chunks wait on a stack, so memory stays O(max_len * n * 1024).
-    Raises TooLarge before the first chunk when more than DEFAULT_BUDGET
-    rooted loops (of any root) have length at most max_len.
+    Paths of ``deepest`` steps (max_len - 1 by default) are the last ones
+    yielded and extended no further; the pruning still allows max_len
+    steps.  Raises TooLarge before the first chunk when more than
+    DEFAULT_BUDGET rooted loops (of any root) have length at most max_len.
     """
+    if deepest is None:
+        deepest = max_len - 1
     n_sites = len(support)
     # the clamp keeps the saturated path counts within int64
     budget = min(DEFAULT_BUDGET, 2**62 // n_sites**3)
@@ -112,7 +119,7 @@ def prefix_walk(support, max_len, start, extend):
         while stack:
             depth, sites, carried = stack.pop()
             yield root, depth, sites, carried
-            if depth + 1 == max_len:
+            if depth == deepest:
                 continue
             # every step out of every path that can still close in time
             counts = degree[sites]
@@ -148,8 +155,11 @@ def loop_prefix_sums(
     n/p rooted loops, so a closing path weighs n/k.  A path x_0..x_d
     carries its running products, one multiply per step, and the closing
     entry Q(x_d, x_0) makes it the loop of length d + 1; loops with a
-    common prefix share its products.  Refuses more than DEFAULT_BUDGET
-    rooted loops with TooLarge before any work.
+    common prefix share its products.  The walk stops at d = max_len - 2:
+    the loops of max_len steps add their last two steps x_d -> x -> r there,
+    summed over the free site x >= r by one product per root (x > r keeps
+    k, x = r adds a visit), so the largest level is never walked.  Refuses
+    more than DEFAULT_BUDGET rooted loops with TooLarge before any work.
     """
     support = q.support()
     factor = np.asarray(factor, dtype=np.complex128)
@@ -160,6 +170,18 @@ def loop_prefix_sums(
     close = np.where(support, walks, 0.0)
     sums = np.zeros((2 * len(walks), max_len), dtype=np.complex128)
 
+    @functools.lru_cache(maxsize=1)
+    def last_two_steps(root):
+        """Per site s, the weights of s -> x -> root over x > root, plain and
+        times factor[x], and of s -> root -> root."""
+        back = close[:, root + 1 :, root]
+        ahead = close[:, :, root + 1 :]
+        return (
+            (ahead @ back[:, :, None])[:, :, 0],
+            (ahead @ (back * factor[root + 1 :])[:, :, None])[:, :, 0],
+            close[:, :, root] * close[:, root, root, None],
+        )
+
     def extend(root, carried, parent, edge, sites):
         weights, disc, visits = carried
         visits = visits[parent] + (sites == root)
@@ -168,11 +190,19 @@ def loop_prefix_sums(
     def start(root):
         return np.ones((len(walks), 1)), factor[[root]], np.ones(1)
 
-    walk = prefix_walk(support, max_len, start, extend)
+    walk = prefix_walk(support, max_len, start, extend, deepest=max(max_len - 2, 0))
     for root, depth, sites, (weights, disc, visits) in walk:
         loops = weights * (close[:, sites, root] * ((depth + 1) / visits))
         sums[::2, depth] += loops.sum(axis=1)
         sums[1::2, depth] += loops @ disc
+        if depth + 2 == max_len:
+            beyond, beyond_disc, again = last_two_steps(root)
+            keep, revisit = max_len / visits, max_len / (visits + 1)
+            loops = weights * (beyond[:, sites] * keep + again[:, sites] * revisit)
+            sums[::2, -1] += loops.sum(axis=1)
+            revisit_disc = factor[root] * revisit
+            loops = weights * (beyond_disc[:, sites] * keep + again[:, sites] * revisit_disc)
+            sums[1::2, -1] += loops @ disc
     return sums
 
 
@@ -248,8 +278,9 @@ def exp_meeting_mass_greens(q: WeightMatrix, sites: Sequence[str]) -> complex:
 
     Peel the listed sites one at a time: multiply G(x, x) computed on the
     not-yet-peeled state space.  Independent of the peeling order; with all
-    sites listed this is 1/det(I - Q).  One ``greens_exact(q)`` per call;
-    peeling x downdates it to the inverse on the sites left,
+    sites listed this is 1/det(I - Q).  It starts from ``greens_exact(q)``,
+    which factors q once for every call and ordering; peeling x downdates
+    a copy to the inverse on the sites left,
     g <- g - g[:, x] g[x, :] / g[x, x].  For acceptable Q, |G_A(x, x)| > 1/2
     and I - Q is an H-matrix, so the downdates are safe and stable.
     """

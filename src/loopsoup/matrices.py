@@ -7,7 +7,8 @@ spectral radius strictly below one, which makes every path and loop series
 converge absolutely.  This module provides the state space and matrix
 containers, the acceptability certificate, det(I - Q), the Green's function
 G = (I - Q)^{-1}, restrictions to subsets, the first-return weight at a
-site, and diagonal perturbations.
+site, and diagonal perturbations.  A matrix's entries are read-only, so its
+certificate and its G are computed at most once and kept on the object.
 """
 
 from __future__ import annotations
@@ -110,6 +111,7 @@ class WeightMatrix:
     _certificate: AcceptabilityCertificate | None = field(
         init=False, default=None, repr=False, compare=False
     )
+    _greens: np.ndarray | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         arr = np.array(self.entries, dtype=np.complex128)
@@ -249,11 +251,18 @@ def det_laplacian(q: WeightMatrix) -> complex:
 
 
 def greens_exact(q: WeightMatrix) -> np.ndarray:
-    """G = (I - Q)^{-1} by LU with partial pivoting, read-only, indexed like q."""
-    require_acceptable(q)
-    g = _lu_solve(np.eye(q.n) - q.entries, np.eye(q.n))
-    g.setflags(write=False)
-    return g
+    """G = (I - Q)^{-1} by LU with partial pivoting, read-only, indexed like q.
+
+    Kept on q like its certificate, so each matrix object is factored once;
+    a matrix that fails the gate or is singular keeps nothing and raises on
+    every call.
+    """
+    if q._greens is None:
+        require_acceptable(q)
+        g = _lu_solve(np.eye(q.n) - q.entries, np.eye(q.n))
+        g.setflags(write=False)
+        object.__setattr__(q, "_greens", g)
+    return q._greens
 
 
 def abs_resolvent_tail(m_abs: np.ndarray, power: int, rhs: np.ndarray) -> np.ndarray:

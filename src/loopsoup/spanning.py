@@ -129,11 +129,13 @@ class SimpleGraph:
     @classmethod
     def from_json_dict(cls, data: dict) -> "SimpleGraph":
         try:
-            vertices = tuple(data["vertices"])
+            vertices = data["vertices"]
             edges = tuple(tuple(e) for e in data["edges"])
         except (KeyError, TypeError) as exc:
             raise InvalidGraph(f"malformed graph document: {exc}") from exc
-        return cls(vertices, edges)
+        if not isinstance(vertices, list) or not all(isinstance(v, str) for v in vertices):
+            raise InvalidGraph("vertices must be a list of vertex names")
+        return cls(tuple(vertices), edges)
 
     @classmethod
     def from_json_file(cls, path) -> "SimpleGraph":

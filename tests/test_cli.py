@@ -160,6 +160,18 @@ class TestBadDocuments:
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "vertices, edges",
+        [("abc", [[0, 1], [1, 2]]), ([1, [2]], [[0, 1]])],
+        ids=["string", "not-names"],
+    )
+    def test_graph_vertices_not_names_exit_2(self, tmp_path, vertices, edges, capsys):
+        # a string is no list of vertices, and a vertex is named by a string
+        path = write_json(tmp_path / "g.json", {"vertices": vertices, "edges": edges})
+        argv = ["sample", "--what", "tree", "--n", "1", "--graph", path]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestCheckReport:
     def test_console_line_shows_comparator(self):

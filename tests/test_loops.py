@@ -391,6 +391,69 @@ class TestLoopPrefixSums:
         assert peak < peak_mb * 2**20
 
 
+def _walked_prefix_sums(q, max_len, factor):
+    """The four rows of loop_prefix_sums summed over the closing paths of
+    the full walk, every level walked, and the sums of the terms' moduli."""
+    sums = np.zeros((4, max_len), dtype=np.complex128)
+    scale = np.zeros((4, max_len))
+    for path in _closing_paths(q.support(), max_len):
+        n = len(path)
+        ahead = path[1:] + path[:1]
+        plain = np.prod(q.entries[path, ahead]) * n / path.count(path[0])
+        back = np.prod(q.entries[ahead, path]) * n / path.count(path[0])
+        disc = np.prod(factor[list(path)])
+        for k, term in enumerate((plain, plain * disc, back, back * disc)):
+            sums[k, n - 1] += term
+            scale[k, n - 1] += abs(term)
+    return sums, scale
+
+
+class TestLastTwoSteps:
+    """loop_prefix_sums adds the longest loops from the paths two steps
+    short of them, against the walk that yields every level."""
+
+    @pytest.mark.parametrize("max_len", [1, 2, 3, 6])
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            # self-loops at sites 0 and 2 and two cycles through site 0: the
+            # last free site may be the root itself
+            [[0.2, 0.3, 0.3], [0.3, 0.0, 0.0], [0.3, 0.0, 0.1]],
+            # a directed 3-cycle: loops of length 3 and 6 only
+            [[0, 0.4, 0], [0, 0, 0.4], [0.4, 0, 0]],
+            # a 2-cycle with a self-loop feeding a 3-cycle that never returns
+            [[0.2, 0.3, 0.1, 0.0, 0.0], [0.3, 0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.3, 0.0],
+             [0.0, 0.0, 0.0, 0.0, 0.3], [0.0, 0.0, 0.3, 0.0, 0.0]],
+        ],
+        ids=["self-loop-at-root", "periodic", "reducible"],
+    )
+    def test_matches_full_walk(self, entries, max_len, monkeypatch):
+        rng = np.random.default_rng(max_len)
+        entries = np.asarray(entries) * np.exp(1j * rng.uniform(0, 2 * np.pi, np.shape(entries)))
+        q = mx.WeightMatrix.from_entries([f"s{i}" for i in range(len(entries))], entries)
+        factor = np.linspace(0.5, 1.5, q.n) * np.exp(0.3j * np.arange(q.n))
+        want, scale = _walked_prefix_sums(q, max_len, factor)
+        full = {
+            depth
+            for _, depth, _, _ in lp.prefix_walk(
+                q.support(), max_len, lambda root: (), lambda *args: ()
+            )
+        }
+        depths = []
+        walk = lp.prefix_walk
+
+        def recorded(*args, **kwargs):
+            for chunk in walk(*args, **kwargs):
+                depths.append(chunk[1])
+                yield chunk
+
+        monkeypatch.setattr(lp, "prefix_walk", recorded)
+        got = lp.loop_prefix_sums(q, max_len, factor, reverse=True)
+        assert np.all(np.abs(got - want) <= 1e-12 * scale)
+        # the same walk, cut before its deepest level once there are two
+        assert set(depths) == {d for d in full if d <= max(max_len - 2, 0)}
+
+
 def _restricted(q, sites):
     """q kept only on the steps of the loop ``sites``, closing step included."""
     mask = np.zeros((q.n, q.n), dtype=bool)
@@ -534,6 +597,20 @@ class TestExpIdentities:
         full = lp.exp_meeting_mass_greens(q, ["s4", "s0", "s5", "s2", "s1", "s3"])
         assert calls == {"spectral_radius_abs": 1, "greens_exact": 1, "_lu_factor": 1}
         assert full == pytest.approx(1.0 / mx.det_laplacian(q), rel=1e-12)
+
+    def test_orderings_share_one_factorization(self, monkeypatch):
+        # G is kept on q, so every ordering peels the same inverse
+        q = random_acceptable(5, 0.7, seed=101, complex_entries=True)
+        factored = []
+        factor = mx._lu_factor
+        monkeypatch.setattr(mx, "_lu_factor", lambda arr: factored.append(arr) or factor(arr))
+        rng = np.random.default_rng(101)
+        products = [
+            lp.exp_meeting_mass_greens(q, list(rng.permutation(q.space.labels)))
+            for _ in range(4)
+        ]
+        assert len(factored) == 1
+        assert products == pytest.approx([products[0]] * 4, rel=1e-12)
 
 
 def _column_solve_peel(q, sites):

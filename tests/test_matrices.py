@@ -204,6 +204,35 @@ class TestGreens:
         with pytest.raises(ValueError):
             g[0, 0] = 0.0
 
+    def test_factored_once_per_matrix_object(self, monkeypatch):
+        factored = []
+        factor = mx._lu_factor
+        monkeypatch.setattr(mx, "_lu_factor", lambda arr: factored.append(arr) or factor(arr))
+        q = random_acceptable(4, 0.7, seed=13, complex_entries=True)
+        g = mx.greens_exact(q)
+        assert mx.greens_exact(q) is g
+        assert len(factored) == 1
+        with pytest.raises(ValueError):
+            g[0, 0] = 0.0
+        # another object with the same entries is factored afresh
+        np.testing.assert_array_equal(mx.greens_exact(mx.WeightMatrix(q.space, q.entries)), g)
+        assert len(factored) == 2
+
+    def test_not_acceptable_raises_on_every_call(self):
+        q = one_point(1.2)
+        for _ in range(2):
+            with pytest.raises(NotAcceptable):
+                mx.greens_exact(q)
+        assert q._greens is None
+
+    def test_cache_stays_out_of_repr_and_equality(self):
+        q = one_point(0.4)
+        twin = mx.WeightMatrix(q.space, q.entries)
+        mx.greens_exact(q)
+        assert q._greens is not None and twin._greens is None
+        assert q == twin
+        assert repr(q) == repr(twin)
+
     # the partial Neumann sums of G are within the largest entry of the
     # exact |Q| remainder, abs_resolvent_tail(|Q|, L + 1, I)
     def test_series_converges_within_bound(self):

@@ -65,6 +65,16 @@ class TestSimpleGraph:
         with pytest.raises(InvalidGraph):
             graph({"vertices": ["a", "b"], "edges": [[0, 2]]})
 
+    @pytest.mark.parametrize(
+        "vertices, edges",
+        [("abc", [[0, 1], [1, 2]]), ([1, [2]], [[0, 1]]), (["a", "a"], [[0, 1]])],
+        ids=["string", "not-names", "repeated"],
+    )
+    def test_rejects_vertices_that_are_not_distinct_names(self, vertices, edges):
+        # "abc" would split into three vertices; [2] would fail to hash
+        with pytest.raises(InvalidGraph):
+            graph({"vertices": vertices, "edges": edges})
+
     @pytest.mark.parametrize("end", [True, 1.0], ids=["bool", "float"])
     def test_rejects_endpoint_that_is_no_whole_number(self, end):
         # lap[True, True] += 1 is numpy mask indexing: read as vertex 1, True

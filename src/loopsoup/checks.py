@@ -1,7 +1,9 @@
 """The identity checks behind ``loopsoup verify`` and ``loopsoup mc``.
 
 Each check is a function of a ``RunConfig`` that yields one or more
-``CheckReport``s: a measured value against a bound. ``VERIFY`` lists the
+``CheckReport``s: a measured value against a bound, either a p-value or
+the largest ``error`` of the ``loops.Comparison``s, the two sides of each
+identity, that the report keeps as its ``sides``.  ``VERIFY`` lists the
 deterministic checks and ``MC`` the seeded Monte Carlo ones, in report
 order, each entry marked with whether it runs in the forked child process.
 ``run(table, config)`` runs a table and returns its reports in that order.
@@ -19,13 +21,14 @@ import os
 import pickle
 import traceback
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from . import fixtures as fx
 from . import gff, lerw, loops, soup, spanning
 from .errors import InvalidMatrix
+from .loops import Comparison
 from .matrices import (
     WeightMatrix,
     abs_resolvent_tail,
@@ -107,7 +110,10 @@ class CheckReport:
     """One named check: a measured value compared against a bound.
 
     ``comparator`` is "le" (pass when value <= bound) or "gt" (pass when
-    value > bound, used for p-values).
+    value > bound, used for p-values).  An "le" value is the largest
+    ``error`` of the ``Comparison``s in ``sides``; a p-value has no sides.
+    The sides stay out of the wire format, the console line, the repr and
+    equality: two reports that differ only in their sides are equal.
     """
 
     check: str
@@ -117,10 +123,11 @@ class CheckReport:
     bound: float
     comparator: str
     outcome: str
+    sides: tuple[Comparison, ...] = field(default=(), repr=False, compare=False)
 
     def to_json_dict(self) -> dict:
         # strict JSON has no Infinity or NaN: a non-finite number is null
-        doc = asdict(self)
+        doc = {f.name: getattr(self, f.name) for f in fields(self) if f.compare}
         for key in ("value", "bound"):
             if not math.isfinite(doc[key]):
                 doc[key] = None
@@ -142,12 +149,20 @@ def _digest(**inputs) -> str:
 def _report(
     check: str,
     statement: str,
-    value: float,
+    measured,
     bound: float,
     comparator: str = "le",
     inconclusive: bool = False,
     **inputs,
 ) -> CheckReport:
+    """``measured`` is an "le" check's comparisons, its value their largest
+    error in the order given (max over a NaN depends on it), or a "gt"
+    check's p-value."""
+    if comparator == "le":
+        sides = tuple(measured)
+        value = max(c.error for c in sides)
+    else:
+        sides, value = (), measured
     ok = value <= bound if comparator == "le" else value > bound
     outcome = "inconclusive" if inconclusive else ("pass" if ok else "fail")
     return CheckReport(
@@ -158,6 +173,7 @@ def _report(
         bound=float(bound),
         comparator=comparator,
         outcome=outcome,
+        sides=sides,
     )
 
 
@@ -167,14 +183,13 @@ def _report(
 def _core_identity_checks(name: str, q: WeightMatrix, max_len: int):
     """The matrix-level identity suite, applied to one acceptable matrix."""
     g = greens_exact(q)
-    worst = max(
-        abs(g[i, i] * (1 - first_return_weight(q, lab)) - 1.0)
-        for i, lab in enumerate(q.space.labels)
-    )
     yield _report(
         f"{name}-greens-renewal",
         "G(x,x) * (1 - first_return(x)) equals 1 at every site",
-        worst,
+        [
+            Comparison(g[i, i] * (1 - first_return_weight(q, lab)), 1.0)
+            for i, lab in enumerate(q.space.labels)
+        ],
         1e-10,
         fixture=name,
     )
@@ -183,14 +198,10 @@ def _core_identity_checks(name: str, q: WeightMatrix, max_len: int):
     orderings = [list(q.space.labels)] + [
         list(rng.permutation(q.space.labels)) for _ in range(3)
     ]
-    worst = max(
-        abs(loops.exp_meeting_mass_greens(q, o) - target) / abs(target)
-        for o in orderings
-    )
     yield _report(
         f"{name}-det-product-orderings",
         "nested Green's diagonal products are order-free and invert det(I-Q)",
-        worst,
+        [Comparison(loops.exp_meeting_mass_greens(q, o), target, abs(target)) for o in orderings],
         1e-9,
         fixture=name,
         orderings=len(orderings),
@@ -200,7 +211,7 @@ def _core_identity_checks(name: str, q: WeightMatrix, max_len: int):
     yield _report(
         f"{name}-loop-mass-det",
         "exp of the length-truncated loop mass approaches 1/det(I-Q)",
-        abs(approx - target),
+        [Comparison(approx, target)],
         bound + 1e-12,
         inconclusive=math.isinf(bound),
         fixture=name,
@@ -213,7 +224,7 @@ def _core_identity_checks(name: str, q: WeightMatrix, max_len: int):
     yield _report(
         f"{name}-meeting-mass-greens",
         "exp of the truncated meeting mass approaches the peeled product",
-        abs(approx - loops.exp_meeting_mass_greens(q, subset)),
+        [Comparison(approx, loops.exp_meeting_mass_greens(q, subset))],
         bound + 1e-12,
         inconclusive=math.isinf(bound),
         fixture=name,
@@ -258,7 +269,7 @@ def _builtin_fixture_checks(config: RunConfig):
     yield _report(
         "first-return-series",
         "partial first-return sums land within their certified tail",
-        abs(partial - exact),
+        [Comparison(partial, exact)],
         tail + 1e-13,
         fixture="cpx4",
         length=60,
@@ -269,14 +280,13 @@ def _lerw_check(config: RunConfig):
     # erased-walk closed formula against the literal walk sweep, tail ~1e-14 at 40 steps
     problem = fx.boundary_problems()["complex5"]
     brute = lerw.lerw_weights_bruteforce(problem, "s0", max_steps=40)
-    worst = max(
-        abs(lerw.lerw_weight_formula(problem, eta) - brute.weights.get(eta, 0.0))
-        for eta in lerw.self_avoiding_paths(problem, "s0")
-    )
     yield _report(
         "lerw-formula-brute",
         "erased-walk weights match the exhaustive walk sweep within its tail",
-        worst,
+        [
+            Comparison(lerw.lerw_weight_formula(problem, eta), brute.weights.get(eta, 0.0))
+            for eta in lerw.self_avoiding_paths(problem, "s0")
+        ],
         brute.tail_bound + 1e-13,
         fixture="complex5",
         max_steps=40,
@@ -292,33 +302,28 @@ def _spanning_tree_checks(config: RunConfig):
         "rand6a": fx.random_connected_graph(6, 5, seed=1),
         "rand6b": fx.random_connected_graph(6, 5, seed=2),
     }
-    worst = 0.0
-    for doc in docs.values():
-        g = spanning.SimpleGraph.from_json_dict(doc)
-        worst = max(
-            worst,
-            abs(spanning.tree_count_det(g) - len(spanning.enumerate_spanning_trees(g))),
-        )
     yield _report(
         "matrix-tree-count",
         "determinant cofactor equals the enumerated spanning tree count",
-        worst,
+        [
+            Comparison(spanning.tree_count_det(g), len(spanning.enumerate_spanning_trees(g)))
+            for g in map(spanning.SimpleGraph.from_json_dict, docs.values())
+        ],
         0.5,
         graphs=sorted(docs),
     )
 
     # every spanning tree is equally likely under the walk formula
-    worst = 0.0
+    sides = []
     for doc in (fx.complete_graph(3), fx.complete_graph(4)):
         g = spanning.SimpleGraph.from_json_dict(doc)
         trees = spanning.enumerate_spanning_trees(g)
         for t in trees:
-            p = spanning.spanning_tree_probability(g, t)
-            worst = max(worst, abs(p * len(trees) - 1.0))
+            sides.append(Comparison(spanning.spanning_tree_probability(g, t) * len(trees), 1.0))
     yield _report(
         "tree-probability-uniform",
         "replayed branch weights give 1/count for every spanning tree",
-        worst,
+        sides,
         1e-8,
         graphs=["k3", "k4"],
     )
@@ -332,18 +337,17 @@ def _transform_checks(config: RunConfig):
     herm3 = fx.random_hermitian(3, 0.55, seed=411)
 
     # doubling the intensity equals symmetrizing by loop reversal
-    margin = -math.inf
-    for q, f, t, L in (
-        (herm2, [0.3, 0.3], 0.5, 14),
-        (cpx3, [0.2, 0.05 + 0.1j, 0.15], 0.7, 10),
-    ):
-        chk = soup.reversal_symmetrization_check(q, f, intensity=t, max_len=L)
-        margin = max(margin, abs(chk.closed - chk.summed) - chk.slack)
     yield _report(
         "reversal-transform",
         "doubled-intensity transform reaches the reversal-symmetrized loop sum"
         " (value is error minus certified slack)",
-        margin,
+        [
+            soup.reversal_symmetrization_check(q, f, intensity=t, max_len=L)
+            for q, f, t, L in (
+                (herm2, [0.3, 0.3], 0.5, 14),
+                (cpx3, [0.2, 0.05 + 0.1j, 0.15], 0.7, 10),
+            )
+        ],
         1e-12,
         fixtures=["herm2", "cpx3"],
     )
@@ -354,7 +358,7 @@ def _transform_checks(config: RunConfig):
     yield _report(
         "occupation-transform-loops",
         "determinant-ratio transform matches the literal loop-measure sum",
-        abs(chk.closed - chk.summed),
+        [Comparison(chk.lhs, chk.rhs)],
         chk.slack + 1e-12,
         fixture="cpx3",
         max_len=12,
@@ -364,51 +368,45 @@ def _transform_checks(config: RunConfig):
     l1, l2 = 0.8 + 0.5j, 0.3 - 0.2j
     w1 = soup.complex_poisson_weights(l1, kmax=60)
     w2 = soup.complex_poisson_weights(l2, kmax=60)
-    conv_err = np.max(
-        np.abs(np.convolve(w1, w2)[:40] - soup.complex_poisson_weights(l1 + l2, kmax=39))
-    )
-    var_err = abs(
-        np.abs(soup.complex_poisson_weights(l1)).sum()
-        - soup.complex_poisson_variation(l1)
-    )
     k = np.arange(61)
-    mom_err = abs(
-        (w1 * np.exp(0.3 * k)).sum() - np.exp(l1 * (math.exp(0.3) - 1))
-    )
     yield _report(
         "poisson-closed-forms",
         "complex Poisson weights convolve, total-variate and transform in closed form",
-        max(conv_err, var_err, mom_err),
+        [
+            Comparison(np.convolve(w1, w2)[:40], soup.complex_poisson_weights(l1 + l2, kmax=39)),
+            Comparison(
+                np.abs(soup.complex_poisson_weights(l1)).sum(),
+                soup.complex_poisson_variation(l1),
+            ),
+            Comparison((w1 * np.exp(0.3 * k)).sum(), np.exp(l1 * (math.exp(0.3) - 1))),
+        ],
         1e-10,
         rates=[repr(l1), repr(l2)],
     )
 
     # squared Gaussian field vs occupation field, closed on both sides
-    worst = 0.0
+    sides = []
     for q in (fx.one_point(0.3), fx.two_state(), sym4):
         rng = substream(406)
         grid = [np.full(q.n, s) for s in (0.0, 0.1, 0.2, 0.5)]
         grid.append(rng.uniform(0.0, 1.0, q.n))
         for f in grid:
-            closed = gff.gff_transform_closed(q, f)
-            worst = max(worst, abs(closed - soup.rho_transform_closed(q, f, 0.5)))
+            sides.append(
+                Comparison(gff.gff_transform_closed(q, f), soup.rho_transform_closed(q, f, 0.5))
+            )
     yield _report(
         "gff-isomorphism-exact",
         "half-squared-field transform equals the intensity-1/2 occupation transform",
-        worst,
+        sides,
         1e-9,
         fixtures=["one_point_q0.3", "two_state", "sym4"],
     )
 
-    # per-loop pushforward of the doubled measure
-    worst = max(
-        gff.pushforward_loop_check(herm2, max_len=8),
-        gff.pushforward_loop_check(herm3, max_len=8),
-    )
+    # per-loop pushforward of the doubled measure, its largest error per fixture
     yield _report(
         "pushforward-per-loop",
         "doubled loop measures sum over lifts to the reversal-symmetrized measure",
-        worst,
+        [Comparison(gff.pushforward_loop_check(q, max_len=8), 0.0) for q in (herm2, herm3)],
         1e-10,
         fixtures=["herm2", "herm3"],
         max_len=8,
@@ -416,36 +414,31 @@ def _transform_checks(config: RunConfig):
 
     # doubling squares determinants and preserves the occupation transform
     doubled = [(q, gff.double_weights(q)) for q in (herm2, herm3)]
-    worst_det = 0.0
+    sides = []
     for q, q2 in doubled:
-        det_doubled = lu_det(greens_exact(q2))
-        det_complex = lu_det(greens_exact(q))
-        worst_det = max(
-            worst_det,
-            abs(det_doubled - abs(det_complex) ** 2) / abs(det_complex) ** 2,
-        )
+        squared = abs(lu_det(greens_exact(q))) ** 2
+        sides.append(Comparison(lu_det(greens_exact(q2)), squared, squared))
     yield _report(
         "doubling-det-squared",
         "doubled Green's determinant is the squared modulus of the complex one",
-        worst_det,
+        sides,
         1e-9,
         fixtures=["herm2", "herm3"],
     )
     # det [[M_R, -M_I], [M_I, M_R]] = |det M|^2, so the doubled soup at
     # intensity 1/2, tested against f copied to both halves, is the complex
     # one at intensity 1
-    worst = max(
-        abs(
-            soup.rho_transform_closed(q2, np.full(2 * q.n, s), 0.5)
-            - soup.rho_transform_closed(q, np.full(q.n, s), 1.0)
-        )
-        for q, q2 in doubled
-        for s in (0.1, 0.4)
-    )
     yield _report(
         "doubled-transform",
         "half-intensity doubled occupation transform equals the complex one",
-        worst,
+        [
+            Comparison(
+                soup.rho_transform_closed(q2, np.full(2 * q.n, s), 0.5),
+                soup.rho_transform_closed(q, np.full(q.n, s), 1.0),
+            )
+            for q, q2 in doubled
+            for s in (0.1, 0.4)
+        ],
         1e-10,
         fixtures=["herm2", "herm3"],
     )
@@ -470,7 +463,7 @@ def _mc_report(
     config: RunConfig,
     check: str,
     statement: str,
-    value: float,
+    measured,
     comparator: str = "le",
     **inputs,
 ) -> CheckReport:
@@ -480,7 +473,7 @@ def _mc_report(
     return _report(
         check,
         statement,
-        value,
+        measured,
         config.p_value_floor if comparator == "gt" else config.sigma_tolerance,
         comparator=comparator,
         inconclusive=config.samples < MIN_CONCLUSIVE_SAMPLES,
@@ -488,11 +481,6 @@ def _mc_report(
         samples=config.samples,
         **inputs,
     )
-
-
-def _sigmas(value: complex, target: complex, stderr: float) -> float:
-    """|value - target| in standard errors; infinite for a sample with no spread."""
-    return abs(value - target) / stderr if stderr else math.inf
 
 
 def _chisquare_uniform_pvalue(counts: np.ndarray) -> float:
@@ -588,20 +576,21 @@ def _soup_count_law(config: RunConfig):
     sampler = soup.SoupSampler(fx.two_state(), 1.0)
     lam = sampler.intensity * sampler.total_mass
     counts = np.array(_soup_loop_counts(sampler, config.seed, n), dtype=float)
-    mean_sig = abs(counts.mean() - lam) / math.sqrt(lam / n)
-    var_sig = abs(counts.var() - lam) / math.sqrt(2 * lam**2 / n + lam / n)
     yield _mc_report(
         config,
         "soup-count-law",
         "soup loop counts have Poisson mean and variance",
-        max(mean_sig, var_sig),
+        [
+            Comparison(counts.mean(), lam, math.sqrt(lam / n)),
+            Comparison(counts.var(), lam, math.sqrt(2 * lam**2 / n + lam / n)),
+        ],
         fixture="two_state",
     )
 
 
 def _occupation_transform_mc(config: RunConfig):
     """Empirical occupation transforms against the determinant ratio."""
-    worst = 0.0
+    sides = []
     for block, (name, q) in enumerate(
         [("one_point_q0.5", fx.one_point(0.5)), ("two_state", fx.two_state())], start=4
     ):
@@ -611,22 +600,21 @@ def _occupation_transform_mc(config: RunConfig):
         grid = [np.full(q.n, s) for s in (0.2, 0.5, 1.0)]
         for f in grid:
             est = soup.empirical_transform(fields, f)
-            closed = soup.nu_transform_closed(q, f, 1.0)
-            worst = max(worst, _sigmas(est.value, closed, est.stderr))
+            sides.append(Comparison(est.value, soup.nu_transform_closed(q, f, 1.0), est.stderr))
     yield _mc_report(
         config,
         "occupation-transform-mc",
         "sampled occupation transforms sit within sigma of the closed form",
-        worst,
+        sides,
         fixtures=["one_point_q0.5", "two_state"],
     )
 
 
-def _isomorphism_sigmas(
+def _isomorphism_sides(
     q: WeightMatrix, f, n: int, field_rng: np.random.Generator, soup_seed: int
-) -> float:
-    """The larger sigma count of the two sampled sides of the isomorphism,
-    E[exp(-<f, .>)] of n fields each, against their shared closed value.
+) -> list[Comparison]:
+    """The two sampled sides of the isomorphism, E[exp(-<f, .>)] of n fields
+    each, against their shared closed value in their standard errors.
 
     The Gaussian side squares and halves its field; the soup side runs at
     intensity 1/2 with the trivial part included.
@@ -636,7 +624,7 @@ def _isomorphism_sigmas(
     fields = soup.sample_occupation_fields(q, 0.5, n, soup_seed, trivial=True)
     occupation = soup.empirical_transform(fields, f)
     closed = gff.gff_transform_closed(q, f)
-    return max(_sigmas(est.value, closed, est.stderr) for est in (gauss, occupation))
+    return [Comparison(est.value, closed, est.stderr) for est in (gauss, occupation)]
 
 
 def _isomorphism_mc(config: RunConfig):
@@ -645,7 +633,7 @@ def _isomorphism_mc(config: RunConfig):
         config,
         "isomorphism-mc",
         "squared-field and occupation samples both reach the closed transform",
-        _isomorphism_sigmas(
+        _isomorphism_sides(
             fx.two_state(),
             [0.3, 0.2],
             config.samples,
@@ -656,11 +644,11 @@ def _isomorphism_mc(config: RunConfig):
     )
 
 
-def _moment_sigmas(
+def _moment_sides(
     q: WeightMatrix, n: int, field_rng: np.random.Generator, soup_seed: int
-) -> float:
-    """The largest sigma count of the first two moments of n one-site
-    half-squared Gaussian and occupation fields against their closed values.
+) -> list[Comparison]:
+    """The first two moments of n one-site half-squared Gaussian and
+    occupation fields against their closed values in their standard errors.
 
     With g = G(x, x), half a squared N(0, g) draw is Gamma(1/2, g)-shaped:
     mean g/2 and second moment 3 g^2 / 4.  The occupation field of the soup
@@ -668,19 +656,18 @@ def _moment_sigmas(
     """
     if q.n != 1:
         raise InvalidMatrix("the moment decomposition check is one-site only")
-    if n < 2:
-        return math.inf  # no spread to estimate, as ``_sigmas`` reads a zero stderr
     g = float(greens_exact(q).real[0, 0])
     phi = gff.gff_sample(gff.GFFModel.from_weights(q), n, field_rng)[:, 0]
     x = 0.5 * phi**2
     y = soup.sample_occupation_fields(q, 0.5, n, soup_seed, trivial=True)[:, 0]
     # Gaussian mean and second moment, then the soup's: a NaN ratio makes
-    # max depend on the order, which the reports have always had
-    return max(
-        _sigmas(float(m.mean()), target, float(m.std(ddof=1) / math.sqrt(n)))
+    # max depend on the order, which the reports have always had.  One draw
+    # has no spread to estimate, so its standard error is 0.
+    return [
+        Comparison(float(m.mean()), target, float(m.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0)
         for field in (x, y)
         for m, target in ((field, g / 2), (field**2, 0.75 * g * g))
-    )
+    ]
 
 
 def _squared_field_moments(config: RunConfig):
@@ -689,7 +676,7 @@ def _squared_field_moments(config: RunConfig):
         config,
         "squared-field-moments",
         "one-site squared-field and occupation moments agree",
-        _moment_sigmas(
+        _moment_sides(
             fx.one_point(0.5),
             config.samples,
             substream(config.seed, 7 * _STREAM_BLOCK),
@@ -708,15 +695,11 @@ def _complex_field_covariance(config: RunConfig):
     cov = psi.T @ psi.conj() / n
     pseudo = psi.T @ psi / n
     envelope = 2 * 2 * np.max(np.abs(model.greens)) / math.sqrt(n)
-    sig = max(
-        float(np.max(np.abs(cov - 2 * model.greens))) / envelope,
-        float(np.max(np.abs(pseudo))) / envelope,
-    )
     yield _mc_report(
         config,
         "complex-field-covariance",
         "complex field has covariance 2G and zero pseudo-covariance",
-        sig,
+        [Comparison(cov, 2 * model.greens, envelope), Comparison(pseudo, 0.0, envelope)],
         fixture="herm2",
     )
 

@@ -37,6 +37,7 @@ from .matrices import (
 __all__ = [
     "RootedLoop",
     "TruncatedMass",
+    "Comparison",
     "prefix_walk",
     "loop_prefix_sums",
     "loop_mass_per_length",
@@ -222,6 +223,29 @@ class TruncatedMass:
 
     value: complex
     tail_bound: float
+
+
+@dataclass(frozen=True)
+class Comparison:
+    """Both sides of one identity, with the scale and slack of their gap.
+
+    ``error`` is |lhs - rhs| / scale - slack, infinite at scale 0.  For
+    array sides |lhs - rhs| is the largest np.abs of their difference, which
+    can round apart from abs of one complex number.
+    """
+
+    lhs: complex | np.ndarray
+    rhs: complex | np.ndarray
+    scale: float = 1.0
+    slack: float = 0.0
+
+    @property
+    def error(self) -> float:
+        if not self.scale:
+            return math.inf
+        diff = self.lhs - self.rhs
+        size = np.max(np.abs(diff)) if isinstance(diff, np.ndarray) else abs(diff)
+        return float(size / self.scale - self.slack)
 
 
 def mass_tail(entries: np.ndarray, max_len: int) -> float:

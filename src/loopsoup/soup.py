@@ -39,7 +39,7 @@ from .errors import (
     TooLarge,
 )
 from .loops import RootedLoop, TruncatedMass, exp_truncated, loop_prefix_sums
-from .loops import mass_tail
+from .loops import Comparison, mass_tail
 from .matrices import (
     WeightMatrix,
     det_laplacian,
@@ -61,7 +61,6 @@ __all__ = [
     "nu_transform_closed",
     "trivial_transform_closed",
     "rho_transform_closed",
-    "LoopSumCheck",
     "reversal_symmetrization_check",
     "occupation_transform_loop_check",
 ]
@@ -424,28 +423,15 @@ def rho_transform_closed(q: WeightMatrix, f: Sequence[complex], t: complex) -> c
 # --- the literal loop sums and the reversal identity ------------------------
 
 
-@dataclass(frozen=True)
-class LoopSumCheck:
-    """Both sides of an occupation-transform identity at one test function.
-
-    ``closed`` is the transform in closed form; ``summed`` exponentiates a
-    truncated literal loop sum; ``slack`` bounds |closed - summed| caused by
-    the truncation.
-    """
-
-    closed: complex
-    summed: complex
-    slack: float
-
-
 def _loop_sum_check(
     q: WeightMatrix,
     f: Sequence[complex],
     intensity: float,
     max_len: int,
     reversal: bool,
-) -> LoopSumCheck:
-    """Closed transform at t (2t with ``reversal``) against exp(t * S).
+) -> Comparison:
+    """Closed transform at t (2t with ``reversal``) against exp(t * S), with
+    the slack that bounds their difference caused by the truncation.
 
     S is the truncated sum over rooted loops of m_f - m, each loop taken
     with its reversal when ``reversal`` is set.  ``loop_prefix_sums`` walks
@@ -465,7 +451,7 @@ def _loop_sum_check(
     tail = 2.0 * mass_tail(q.entries, max_len) + 2.0 * mass_tail(q_f.entries, max_len)
     mass = TruncatedMass(complex(intensity * exponent), abs(intensity) * tail)
     summed, slack = exp_truncated(mass)
-    return LoopSumCheck(closed=closed, summed=summed, slack=slack)
+    return Comparison(closed, summed, slack=slack)
 
 
 def reversal_symmetrization_check(
@@ -473,13 +459,15 @@ def reversal_symmetrization_check(
     f: Sequence[complex],
     intensity: float,
     max_len: int,
-) -> LoopSumCheck:
+) -> Comparison:
     """Check that doubling the intensity equals adding reversed loops.
 
     The soup of intensity 2t for m has the same occupation law as the soup
     of intensity t for the symmetrized measure m + m o reversal, because
     reversal preserves lengths and visit counts while det(I - Q) is blind
-    to transposition.  Compared at the Laplace transform of one f.
+    to transposition.  Compared at the Laplace transform of one f: the
+    ``Comparison`` has the closed transform at 2t as ``lhs``, the summed
+    one at t as ``rhs`` and the truncation's bound as ``slack``.
     """
     return _loop_sum_check(q, f, intensity, max_len, reversal=True)
 
@@ -489,7 +477,7 @@ def occupation_transform_loop_check(
     f: Sequence[complex],
     intensity: float,
     max_len: int,
-) -> LoopSumCheck:
+) -> Comparison:
     """Check the closed occupation transform against the loop measure.
 
     The soup of intensity t has E[exp(-<f, field>)] equal to the exponential
@@ -498,6 +486,8 @@ def occupation_transform_loop_check(
     is taken literally over loops up to ``max_len``: the prefix walk of
     ``loops.loop_prefix_sums`` reaches each rotation class from its lowest
     site and weighs it by its number of rooted loops, and loops sharing a
-    prefix share its running products.
+    prefix share its running products.  The ``Comparison`` has the closed
+    transform as ``lhs``, the summed one as ``rhs`` and the truncation's
+    bound as ``slack``.
     """
     return _loop_sum_check(q, f, intensity, max_len, reversal=False)

@@ -145,16 +145,16 @@ class TestIsomorphism:
 
     def test_mc_both_sides(self):
         q = two_state()
-        sig = checks._isomorphism_sigmas(
+        sides = checks._isomorphism_sides(
             q, [0.3, 0.2], 20_000, substream(407), soup_seed=408
         )
-        assert sig < 4.0
+        assert max(c.error for c in sides) < 4.0
 
     def test_moment_decomposition_one_site(self):
-        sig = checks._moment_sigmas(
+        sides = checks._moment_sides(
             one_point(0.5), 30_000, substream(409), soup_seed=410
         )
-        assert sig < 4.0
+        assert max(c.error for c in sides) < 4.0
 
     def test_moment_targets_follow_greens_diagonal(self, monkeypatch):
         # the targets are g/2 and 3g^2/4 for g = G(x, x); with G scaled by
@@ -165,12 +165,12 @@ class TestIsomorphism:
             return 1.1 * exact(q)
 
         monkeypatch.setattr(checks, "greens_exact", scaled)
-        sig = checks._moment_sigmas(one_point(0.5), 30_000, substream(409), soup_seed=410)
-        assert sig > 4.0
+        sides = checks._moment_sides(one_point(0.5), 30_000, substream(409), soup_seed=410)
+        assert max(c.error for c in sides) > 4.0
 
     def test_moment_check_rejects_multisite(self):
         with pytest.raises(InvalidMatrix):
-            checks._moment_sigmas(two_state(), 10, substream(1), soup_seed=2)
+            checks._moment_sides(two_state(), 10, substream(1), soup_seed=2)
 
 
 class TestDoubling:

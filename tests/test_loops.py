@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -667,3 +668,51 @@ class TestPerturbedMeasure:
     def test_zero_f_is_plain_measure(self):
         q = two_state()
         np.testing.assert_array_equal(mx.perturb(q, [0, 0]).entries, q.entries)
+
+
+def _rounds_apart():
+    """A complex value whose built-in abs and np.abs in an array differ, or
+    None on a platform where they never do."""
+    rng = np.random.default_rng(7)
+    for z in rng.normal(size=1000) + 1j * rng.normal(size=1000):
+        z = complex(z)
+        if abs(z) != np.abs(np.array([z]))[0]:
+            return z
+    return None
+
+
+class TestComparison:
+    def test_scalar_sides_use_builtin_abs_and_array_sides_np_abs(self):
+        z = _rounds_apart()
+        if z is None:
+            pytest.skip("abs and np.abs round alike here")
+        assert lp.Comparison(z, 0.0).error == abs(z)
+        assert lp.Comparison(np.complex128(z), 0.0).error == abs(z)
+        assert lp.Comparison(np.array([z]), 0.0).error == np.abs(np.array([z]))[0]
+        assert lp.Comparison(np.array([z]), 0.0).error != abs(z)
+        assert lp.Comparison(np.array([0.5, z]), np.zeros(2)).error == np.max(
+            np.abs(np.array([0.5, z]))
+        )
+
+    @pytest.mark.parametrize(
+        "lhs, rhs, scale",
+        [
+            (1.0, 2.0, 0.0),
+            (1.0, 1.0, 0.0),
+            (np.float64(1.0), np.float64(2.0), np.float64(0.0)),
+            (np.float64(1.0), np.float64(1.0), np.float64(0.0)),
+            (np.complex128(1 + 1j), np.complex128(1.0), np.float64(0.0)),
+            (np.ones(2), np.zeros(2), 0.0),
+        ],
+    )
+    def test_zero_scale_is_infinite_without_warning(self, lhs, rhs, scale):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert lp.Comparison(lhs, rhs, scale).error == math.inf
+
+    def test_scale_divides_and_slack_is_subtracted(self):
+        assert lp.Comparison(3.0, 1.0).error == 2.0
+        assert lp.Comparison(3.0, 1.0, scale=4.0).error == 0.5
+        assert lp.Comparison(3.0, 1.0, scale=4.0, slack=0.125).error == 0.375
+        assert lp.Comparison(1.0, 1.0, slack=0.5).error == -0.5
+        assert lp.Comparison(1.0 + 1.0j, 1.0, slack=math.inf).error == -math.inf

@@ -660,8 +660,8 @@ class TestEmpiricalTransform:
         q = random_acceptable(3, 0.5, seed=301, complex_entries=True)
         f = np.array([0.2, 0.1 + 0.05j, 0.3])
         chk = sp.occupation_transform_loop_check(q, f, intensity=0.8, max_len=12)
-        assert chk.closed == sp.nu_transform_closed(q, f, 0.8)
-        assert abs(chk.closed - chk.summed) <= chk.slack + 1e-12
+        assert chk.lhs == sp.nu_transform_closed(q, f, 0.8)
+        assert abs(chk.lhs - chk.rhs) <= chk.slack + 1e-12
         # the slack is no wider than the truncation it covers
         assert chk.slack < 1e-3
 
@@ -701,18 +701,18 @@ class TestReversal:
         check = sp.reversal_symmetrization_check(
             hermitian_pair(), [0.3, 0.3], intensity=0.5, max_len=14
         )
-        assert abs(check.closed - check.summed) <= check.slack + 1e-12
+        assert abs(check.lhs - check.rhs) <= check.slack + 1e-12
 
     def test_complex_non_hermitian(self):
         q = random_acceptable(3, 0.5, seed=313, complex_entries=True)
         f = [0.2, 0.05 + 0.1j, 0.15]
         for t in (1.0, 0.7):
             check = sp.reversal_symmetrization_check(q, f, intensity=t, max_len=10)
-            assert abs(check.closed - check.summed) <= check.slack + 1e-12
+            assert abs(check.lhs - check.rhs) <= check.slack + 1e-12
 
     def test_doubling_matches_two_t_directly(self):
         q = hermitian_pair()
         f = [0.4, 0.1]
         lhs = sp.nu_transform_closed(q, f, 2 * 0.3)
         check = sp.reversal_symmetrization_check(q, f, intensity=0.3, max_len=12)
-        assert check.closed == pytest.approx(lhs, rel=1e-12)
+        assert check.lhs == pytest.approx(lhs, rel=1e-12)

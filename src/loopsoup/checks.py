@@ -21,7 +21,7 @@ import os
 import pickle
 import traceback
 from collections import Counter
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -52,9 +52,10 @@ _STREAM_BLOCK = 10**7
 class RunConfig:
     """Knobs shared by the verification commands; JSON round-trippable.
 
-    ``fixtures`` lists paths of extra weight-matrix JSON files to push
-    through the core identity suites; ``max_len`` caps the truncated trace
-    sums; ``out`` is a default report path, overridden by ``--out``.
+    ``fixtures`` lists weight-matrix JSON files for the core identity
+    suites, which ``from_file`` reads relative to the config file; ``max_len``
+    caps the truncated trace sums; ``out`` is a default report path,
+    overridden by ``--out``.
     """
 
     seed: int = 42
@@ -102,7 +103,9 @@ class RunConfig:
     @classmethod
     def from_file(cls, path: str) -> "RunConfig":
         with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json_dict(json.load(fh))
+            config = cls.from_json_dict(json.load(fh))
+        base = os.path.dirname(path)
+        return replace(config, fixtures=[os.path.join(base, p) for p in config.fixtures])
 
 
 @dataclass(frozen=True)
@@ -294,7 +297,6 @@ def _lerw_check(config: RunConfig):
 
 
 def _spanning_tree_checks(config: RunConfig):
-    # Kirchhoff determinant counts equal literal enumeration
     docs = {
         "k3": fx.complete_graph(3),
         "c4": fx.cycle_graph(4),
@@ -302,28 +304,27 @@ def _spanning_tree_checks(config: RunConfig):
         "rand6a": fx.random_connected_graph(6, 5, seed=1),
         "rand6b": fx.random_connected_graph(6, 5, seed=2),
     }
+    graphs = {name: spanning.SimpleGraph.from_json_dict(doc) for name, doc in docs.items()}
+    trees = {name: spanning.enumerate_spanning_trees(g) for name, g in graphs.items()}
+
+    # Kirchhoff determinant counts equal literal enumeration
     yield _report(
         "matrix-tree-count",
         "determinant cofactor equals the enumerated spanning tree count",
-        [
-            Comparison(spanning.tree_count_det(g), len(spanning.enumerate_spanning_trees(g)))
-            for g in map(spanning.SimpleGraph.from_json_dict, docs.values())
-        ],
+        [Comparison(spanning.tree_count_det(graphs[k]), len(trees[k])) for k in docs],
         0.5,
         graphs=sorted(docs),
     )
 
     # every spanning tree is equally likely under the walk formula
-    sides = []
-    for doc in (fx.complete_graph(3), fx.complete_graph(4)):
-        g = spanning.SimpleGraph.from_json_dict(doc)
-        trees = spanning.enumerate_spanning_trees(g)
-        for t in trees:
-            sides.append(Comparison(spanning.spanning_tree_probability(g, t) * len(trees), 1.0))
     yield _report(
         "tree-probability-uniform",
         "replayed branch weights give 1/count for every spanning tree",
-        sides,
+        [
+            Comparison(spanning.spanning_tree_probability(graphs[k], t) * len(trees[k]), 1.0)
+            for k in ("k3", "k4")
+            for t in trees[k]
+        ],
         1e-8,
         graphs=["k3", "k4"],
     )

@@ -6,8 +6,8 @@ remaining vertices; the resulting spanning tree is uniform over all spanning
 trees of the graph, whatever the root and the visit order.  The matrix-tree
 count (a cofactor of the degree-minus-adjacency Laplacian) and literal
 enumeration over edge subsets give two independent values for the number of
-trees, and the loop-erased walk formula recovers each tree's probability a
-third way.
+trees, and the loop-erased walk formula, one nested Green's-diagonal peel
+per tree, recovers each tree's probability a third way.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import Disconnected, InvalidGraph, NumericalFailure, TooLarge
-from .lerw import BoundaryProblem, lerw_weight_formula
-from .matrices import WeightMatrix, lu_det
+from .loops import exp_meeting_mass_greens
+from .matrices import WeightMatrix, lu_det, restrict
 
 __all__ = [
     "SimpleGraph",
@@ -212,12 +212,14 @@ def spanning_tree_probability(
 ) -> float:
     """Probability Wilson's algorithm returns this tree, from the walk formula.
 
-    Replays the algorithm deterministically: for each vertex in index order,
-    the branch it contributes is the unique tree path to the already-grown
-    part, and its chance is the loop-erased walk weight of that branch in the
-    boundary problem whose boundary is the grown part.  The product over
-    branches is the tree's probability, and it comes out as
-    1 / (number of spanning trees) whatever the tree: the sampler is uniform.
+    Replays the algorithm deterministically: each vertex in index order
+    walks its tree path into the already-grown part.  That branch's erased
+    walk weight is its steps times the Green's diagonals of its sites, each
+    over the sites not yet in the tree: peeling those sites off the inverse
+    leaves the next branch's.  So the branches multiply to Q(T), the steps
+    along the tree toward the root, times one peel of the non-root sites in
+    the order they join the tree.  It comes out as 1 / (number of spanning
+    trees) whatever the tree: the sampler is uniform.
     """
     if not _is_vertex(root, graph.n):
         raise InvalidGraph(f"root {root} out of range")
@@ -229,39 +231,32 @@ def spanning_tree_probability(
     spans = vertices and edge_set <= set(graph.edges) and _spans(graph.n, sorted(edge_set))
     if len(edge_set) != graph.n - 1 or not spans:
         raise InvalidGraph("edge set is not a spanning tree of the graph")
-    tree_adj: list[list[int]] = [[] for _ in range(graph.n)]
-    for i, j in edge_set:
-        tree_adj[i].append(j)
-        tree_adj[j].append(i)
+    if graph.n == 1:
+        return 1.0  # no branch: the empty product
     # toward[u]: u's neighbor on its tree path to the root, which enters the grown part
+    adj = graph.neighbors()
     toward = {root: root}
     queue = [root]
     for u in queue:
-        for w in tree_adj[u]:
-            if w not in toward:
+        for w in adj[u]:
+            if w not in toward and (min(u, w), max(u, w)) in edge_set:
                 toward[w] = u
                 queue.append(w)
 
+    # the tree's edges oriented toward the root, in the order their sites join it
+    joined: dict[int, int] = {}
+    for u in range(graph.n):
+        while u != root and u not in joined:  # u's branch, up into the grown part
+            joined[u] = toward[u]
+            u = toward[u]
+
     weights = srw_weights(graph)
-    labels = graph.vertices
-    grown = {root}
-    prob = 1.0
-    for v in range(graph.n):
-        if v in grown:
-            continue
-        path = [v]
-        while path[-1] not in grown:
-            path.append(toward[path[-1]])
-        interior = [labels[u] for u in range(graph.n) if u not in grown]
-        boundary = [labels[u] for u in sorted(grown)]
-        problem = BoundaryProblem(weights, tuple(interior), tuple(boundary))
-        branch = tuple(labels[u] for u in path)
-        w = lerw_weight_formula(problem, branch)
-        if abs(w.imag) > 1e-12:
-            raise NumericalFailure("tree branch probability came out non-real")
-        prob *= w.real
-        grown.update(path)
-    return prob
+    steps = np.prod([weights.entries[u, w] for u, w in joined.items()])
+    nonroot = restrict(weights, graph.vertices[:root] + graph.vertices[root + 1 :])
+    prob = steps * exp_meeting_mass_greens(nonroot, [graph.vertices[u] for u in joined])
+    if abs(prob.imag) > 1e-12:
+        raise NumericalFailure("tree probability came out non-real")
+    return float(prob.real)
 
 
 class WilsonSampler:

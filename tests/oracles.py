@@ -67,3 +67,41 @@ def neumann_partial(entries, length):
         power = power @ entries
         total = total + power
     return total
+
+
+def wilson_branch_product(graph, tree, root):
+    """Wilson's chance of drawing ``tree`` from ``root``, branch by branch.
+
+    Each vertex in index order walks its tree path into the grown part.
+    Each site x of that branch in turn contributes its simple-walk step
+    1/deg(x) and G(x, x), read off a fresh inverse of I - Q on the sites
+    still outside the tree and not yet peeled; then x is peeled.
+    """
+    n = len(graph.vertices)
+    q = np.zeros((n, n))
+    for i, j in graph.edges:
+        q[i, j] = q[j, i] = 1.0
+    q /= q.sum(axis=1, keepdims=True)
+    tree_nbrs: dict = {v: [] for v in range(n)}
+    for i, j in tree:
+        tree_nbrs[i].append(j)
+        tree_nbrs[j].append(i)
+    parent = {root: root}
+    stack = [root]
+    while stack:
+        u = stack.pop()
+        for w in tree_nbrs[u]:
+            if w not in parent:
+                parent[w] = u
+                stack.append(w)
+    outside = [v for v in range(n) if v != root]
+    prob = 1.0
+    for v in range(n):
+        x = v
+        while x in outside:
+            g = np.linalg.inv(np.eye(len(outside)) - q[np.ix_(outside, outside)])
+            k = outside.index(x)
+            prob *= q[x, parent[x]] * g[k, k]
+            outside.remove(x)
+            x = parent[x]
+    return prob

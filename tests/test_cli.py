@@ -241,10 +241,9 @@ class TestVerifyCommand:
         assert len(extras) == 4
         assert all(c["outcome"] == "pass" for c in extras)
 
-    def test_adversarial_fixtures_pass_and_rerun_identically(self, monkeypatch, tmp_path, capsys):
+    def test_adversarial_fixtures_pass_and_rerun_identically(self, tmp_path, capsys):
         # non-normal triangular, reducible block, periodic cycle and dense
-        # 32-site fixtures; the config lists them relative to the repository root
-        monkeypatch.chdir(DATA.parent.parent)
+        # 32-site fixtures; the config lists them relative to itself
         cfg = str(DATA / "adversarial_verify.json")
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         assert main(["verify", "--config", cfg, "--out", str(a)]) == 0
@@ -255,10 +254,22 @@ class TestVerifyCommand:
         assert len(extras) == 16
         assert all(c["outcome"] == "pass" for c in extras)
 
+    def test_config_fixtures_are_read_relative_to_the_config(self, monkeypatch, tmp_path, capsys):
+        # run from a directory that holds none of the fixtures; an absolute
+        # config path then gives absolute fixture paths in the header
+        monkeypatch.chdir(tmp_path)
+        out = tmp_path / "report.jsonl"
+        assert main(["verify", "--config", str(DATA / "adversarial_verify.json"), "--out", str(out)]) == 0
+        header, checks = read_report(out)
+        names = ["nonnormal5.json", "reducible8.json", "cycle5.json", "dense32.json"]
+        assert header["config"]["fixtures"] == [str(DATA / name) for name in names]
+        extras = [c for c in checks if c["check"].startswith("extra")]
+        assert len(extras) == 16
+        assert all(c["outcome"] == "pass" for c in extras)
+
     @pytest.mark.parametrize("config", [None, "adversarial_verify.json"])
     def test_never_forks(self, config, monkeypatch, tmp_path, capsys):
         # verify's table marks no check for the child, so it runs in-process
-        monkeypatch.chdir(DATA.parent.parent)
         argv = ["verify", "--config", str(DATA / config)] if config else ["verify"]
         plain, unforked = tmp_path / "plain.jsonl", tmp_path / "unforked.jsonl"
         assert main(argv + ["--out", str(plain)]) == 0
@@ -488,9 +499,9 @@ class TestReportLines:
         ],
         ids=["verify", "verify-adversarial", "mc-seed42-1000"],
     )
-    def test_names_and_digests_are_pinned(self, argv, lines, monkeypatch, tmp_path, capsys):
-        # the adversarial config lists its fixtures relative to the repository root
-        monkeypatch.chdir(DATA.parent.parent)
+    def test_names_and_digests_are_pinned(self, argv, lines, tmp_path, capsys):
+        # the adversarial config lists its fixtures relative to itself, so
+        # this runs from any directory
         out = tmp_path / "report.jsonl"
         assert main(argv + ["--out", str(out)]) == 0
         _, checks = read_report(out)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from loopsoup import matrices as mx
 from loopsoup import spanning as sp
 from loopsoup.errors import Disconnected, InvalidGraph, NumericalFailure, TooLarge
 from loopsoup.fixtures import (
@@ -16,7 +17,7 @@ from loopsoup.fixtures import (
     random_connected_graph,
 )
 from loopsoup.rng import substream
-from oracles import loop_erase
+from oracles import loop_erase, wilson_branch_product
 
 
 def graph(doc: dict) -> sp.SimpleGraph:
@@ -208,6 +209,32 @@ class TestTreeProbability:
         for t in trees:
             p = sp.spanning_tree_probability(g, t, root=root)
             assert abs(p * count - 1.0) <= 1e-10
+            # the one peel equals a fresh inverse per peeled site
+            assert p == pytest.approx(wilson_branch_product(g, t, root), rel=1e-12, abs=0)
+
+    def test_one_vertex_graph_has_its_tree(self):
+        # the replay has no branch, so the one tree has the empty product
+        g = sp.SimpleGraph(("a",), ())
+        assert sp.enumerate_spanning_trees(g) == [frozenset()]
+        assert sp.spanning_tree_probability(g, frozenset()) == 1.0
+
+    def test_replay_gates_once_and_factors_once(self, monkeypatch):
+        # three branches of the path tree share one peel of the non-root sites
+        calls = {"spectral_radius_abs": 0, "_lu_factor": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(
+            mx, "spectral_radius_abs", counted("spectral_radius_abs", mx.spectral_radius_abs)
+        )
+        monkeypatch.setattr(mx, "_lu_factor", counted("_lu_factor", mx._lu_factor))
+        p = sp.spanning_tree_probability(graph(complete_graph(4)), [(0, 1), (1, 2), (2, 3)], 0)
+        assert calls == {"spectral_radius_abs": 1, "_lu_factor": 1}
+        assert p == pytest.approx(1 / 16, rel=1e-12)
 
 
 class TestWilson:

@@ -37,14 +37,14 @@ from .matrices import (
     greens_exact,
     lu_det,
 )
-from .rng import Substreams, substream
+from .rng import substream
 
 __all__ = ["RunConfig", "CheckReport", "VERIFY", "MC", "run"]
 
 #: Monte Carlo runs below this many samples are labeled inconclusive.
 MIN_CONCLUSIVE_SAMPLES = 1000
 
-# disjoint substream index blocks of the Monte Carlo checks; see ``MC``
+# spacing of the Monte Carlo checks' substream indices; see ``MC``
 _STREAM_BLOCK = 10**7
 
 
@@ -536,17 +536,14 @@ def _wilson_tree_counts(
     return [drawn[t] for t in spanning.enumerate_spanning_trees(g)]
 
 
-def _soup_loop_counts(sampler: soup.SoupSampler, seed: int, samples: int) -> list[int]:
-    """The loop counts of ``samples`` soups, soup i drawn off substream
-    (seed, 3 * _STREAM_BLOCK + i).
-
-    ``SoupSampler.sample`` draws its count first, as one Poisson variate of
-    rate intensity * total mass, and each soup has a fresh substream, so the
-    count is read off that one draw without walking the loops.
+def _soup_loop_counts(sampler: soup.SoupSampler, seed: int, samples: int) -> np.ndarray:
+    """The loop counts of ``samples`` soups off substream
+    (seed, 3 * _STREAM_BLOCK), as one Poisson array of rate intensity *
+    total mass: the first draw of ``SoupSampler.occupations`` on that
+    stream, read without walking the loops.
     """
     lam = sampler.intensity * sampler.total_mass
-    rngs = Substreams(seed).over(range(3 * _STREAM_BLOCK, 3 * _STREAM_BLOCK + samples))
-    return [rng.poisson(lam) for rng in rngs]
+    return substream(seed, 3 * _STREAM_BLOCK).poisson(lam, samples)
 
 
 def _wilson_uniformity(config: RunConfig):
@@ -576,7 +573,7 @@ def _soup_count_law(config: RunConfig):
     n = config.samples
     sampler = soup.SoupSampler(fx.two_state(), 1.0)
     lam = sampler.intensity * sampler.total_mass
-    counts = np.array(_soup_loop_counts(sampler, config.seed, n), dtype=float)
+    counts = _soup_loop_counts(sampler, config.seed, n).astype(float)
     yield _mc_report(
         config,
         "soup-count-law",
@@ -705,18 +702,20 @@ def _complex_field_covariance(config: RunConfig):
     )
 
 
-#: ``mc``'s checks in report order, as (check, runs in the forked child);
-#: at 6000 samples the two forked ones take about 48 of the 91 ms all take
-#: in one process (2-vCPU box).
+#: ``mc``'s checks in report order, as (check, runs in the forked child).
+#: Since the soup suites draw their fields as one batch, the two forked
+#: ones take about 6 of the 40 ms that all take in one process at 6000
+#: samples, and about 75 of the 700 ms at 100 000 (2-vCPU box); Wilson's
+#: trees take most of the rest.
 #:
-#: Substream blocks, block b being indices b * _STREAM_BLOCK onward of a
-#: seed: Wilson K3 draws from block 1 and K4 from block 2, the count law
-#: from block 3, the occupation transforms from blocks 4 and 5, the
-#: isomorphism's Gaussian side from block 6, the moments' Gaussian side
-#: from block 7, and the complex field from block 8. The isomorphism's
-#: soup side draws from block 0 of ``seed`` and the moments' soup side from
-#: block 0 of ``seed + 1``. The blocks must stay disjoint, so that no two
-#: checks share a draw, whichever process runs them.
+#: Each suite draws from one substream, its index b * _STREAM_BLOCK for
+#: its block b of a seed: Wilson K3 block 1 and K4 block 2, the count law
+#: block 3, the occupation transforms blocks 4 and 5, the isomorphism's
+#: Gaussian side block 6, the moments' Gaussian side block 7, and the
+#: complex field block 8. The isomorphism's soup side draws from index 0
+#: of ``seed`` and the moments' soup side from index 0 of ``seed + 1``.
+#: Each index owns 2**192 draws, so no two checks share a draw however
+#: many samples they take, whichever process runs them.
 MC = (
     (_wilson_uniformity, False),
     (_soup_count_law, False),

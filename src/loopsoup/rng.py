@@ -16,7 +16,6 @@ SC 2011).
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterator
 
 import numpy as np
 
@@ -73,17 +72,6 @@ class Substreams:
     def __call__(self, index: int) -> np.random.Generator:
         if not 0 <= index < 1 << 64:
             raise ValueError("stream index must be nonnegative and below 2**64")
-        return self._seek(index)
-
-    def over(self, indices: range) -> Iterator[np.random.Generator]:
-        """The generator at the start of each substream of ``indices`` in
-        turn, as ``map(streams, indices)`` gives it, with the range checked
-        once, up front.  Each stream is valid until the next is taken."""
-        if indices and not (0 <= min(indices) and max(indices) < 1 << 64):
-            raise ValueError("stream index must be nonnegative and below 2**64")
-        return map(self._seek, indices)
-
-    def _seek(self, index: int) -> np.random.Generator:
         self._inner["counter"] = (0, 0, 0, index)
         self._bitgen.state = self._state
         return self._generator

@@ -16,6 +16,14 @@ Occupation fields: the discrete field counts loop visits per site; the
 continuous field replaces each visit by an independent Exp(1) weight, i.e.
 a Gamma(count) variable per site, optionally adding a Gamma(t) "trivial"
 part per site.  Closed Laplace transforms come from determinant ratios.
+
+Two draw loops read the same prepared tables.  ``SoupSampler.occupation``
+and ``sample`` draw one soup at a time, so a dump record regenerates from
+its own substream.  ``SoupSampler.occupations`` draws many soups as one
+vectorized batch off one stream, stage by stage across all of them: each
+row has the same law, but rows can no longer be drawn one at a time or
+sliced out.  ``sample_occupation_fields``, and so the Monte Carlo suites,
+use the batch.
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ import math
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -47,7 +55,7 @@ from .matrices import (
     perturb,
     require_acceptable,
 )
-from .rng import Substreams
+from .rng import substream
 
 __all__ = [
     "complex_poisson_weights",
@@ -155,7 +163,8 @@ class SoupSampler:
     walk, then one gamma per site in site order.  A Gamma(0) draw uses no
     uniform and is 0, so a site with no visits and no trivial part gets 0
     without a call.  So both give the same values, bit for bit, and leave
-    the stream at the same place.
+    the stream at the same place.  ``occupations(rng, count, trivial_shape)``
+    draws ``count`` such soups as one batch, in its own draw order.
     """
 
     def __init__(self, q: WeightMatrix, intensity: float) -> None:
@@ -237,23 +246,74 @@ class SoupSampler:
     ) -> tuple[list[int], list[float]]:
         """One soup's visit counts and continuous field, as lists per site."""
         _require_shape(trivial_shape)
-        return next(self._occupations((rng,), trivial_shape))
+        counts = [0] * self.n_sites
+        for _ in range(rng.poisson(self.intensity * self.total_mass)):
+            for site in self._sites(rng):
+                counts[site] += 1
+        gamma = rng.gamma
+        return counts, [gamma(c + trivial_shape) if c or trivial_shape else 0.0 for c in counts]
 
-    def _occupations(
-        self, rngs: Iterable[np.random.Generator], trivial_shape: float
-    ) -> Iterator[tuple[list[int], list[float]]]:
-        # one soup's (counts, field) per generator, the shape checked by the caller
-        sites, width = self._sites, self.n_sites
-        rate = self.intensity * self.total_mass
-        for rng in rngs:
-            counts = [0] * width
-            for _ in range(rng.poisson(rate)):
-                for site in sites(rng):
-                    counts[site] += 1
-            gamma = rng.gamma
-            yield counts, [
-                gamma(c + trivial_shape) if c or trivial_shape else 0.0 for c in counts
-            ]
+    def occupations(
+        self, rng: np.random.Generator, count: int, trivial_shape: float
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``count`` soups' visit counts and continuous fields, drawn as one
+        batch: an int64 and a float64 array, both ``(count, n_sites)``.
+
+        Each row has the law of ``occupation``'s draw, but the stream is
+        consumed in batch order, not soup by soup:
+
+        1. ``rng.poisson(rate, count)``: the loops of each row;
+        2. one ``rng.random(k)`` for the lengths of all k loops, rows in
+           order, by ``_draw_length``'s rule, far-tail clamp included;
+        3. one ``rng.random(k)`` for their roots;
+        4. for m from the longest length - 1 down to 1, one ``rng.random(a)``
+           for the a loops with more than m steps left, longest first and
+           ties in row order; each picks its next site by ``_sites``'
+           running-sum rule;
+        5. one ``rng.gamma`` over the positive shapes, row-major; a zero
+           shape gives 0 and draws nothing.
+
+        So the rows come from one stream together and cannot be drawn apart.
+        """
+        _require_shape(trivial_shape)
+        if count < 0:
+            raise ValueError(f"count must be nonnegative, got {count}")
+        width, last = self.n_sites, self.n_sites - 1
+        loops = rng.poisson(self.intensity * self.total_mass, count)
+        k = int(loops.sum())
+        # each loop's row offset into the flattened (count, width) counts
+        owner = np.repeat(np.arange(count) * width, loops)
+        visits = [np.empty(0, dtype=np.int64)]
+        if k:
+            u = rng.random(k)
+            # the largest uniform grows the tables by the scalar rule; the
+            # clamped length, if any, is the longest
+            longest = self._draw_length(float(u.max()))
+            lengths = np.minimum(np.searchsorted(self._length_cum, u) + 1, longest)
+            # a count of the running sums below a uniform is bisect_left's pick
+            root_cum = np.array(self._root_cum[:longest])[lengths - 1]
+            roots = np.minimum((root_cum < rng.random(k)[:, None]).sum(axis=1), last)
+            # longest first, so the loops still walking at each step lead;
+            # walking[m] of them have more than m steps left
+            order = np.argsort(-lengths, kind="stable")
+            owner, roots = owner[order], roots[order]
+            walking = np.searchsorted(-lengths[order], -np.arange(longest))
+            visits.append(owner + roots)
+            current = roots.copy()
+            for m in range(longest - 1, 0, -1):
+                a = walking[m]
+                probs = self.entries[current[:a]] * self._powers[m][:, roots[:a]].T
+                goal = rng.random(a) * probs.sum(axis=1)
+                step = (np.cumsum(probs, axis=1) < goal[:, None]).sum(axis=1)
+                current[:a] = np.minimum(step, last)
+                visits.append(owner[:a] + current[:a])
+        counts = np.bincount(np.concatenate(visits), minlength=count * width)
+        counts = counts.reshape(count, width)
+        shapes = counts + trivial_shape
+        values = np.zeros(shapes.shape)
+        drawn = shapes > 0
+        values[drawn] = rng.gamma(shapes[drawn])
+        return counts, values
 
 
 def _require_shape(trivial_shape: float) -> None:
@@ -305,25 +365,20 @@ def sample_occupation_fields(
     trivial: bool = False,
     start_index: int = 0,
 ) -> np.ndarray:
-    """n_samples continuous occupation fields, one substream per sample.
+    """n_samples continuous occupation fields, drawn as one batch.
 
-    Row i is drawn from substream(seed, start_index + i), so any slice of
-    samples can be reproduced independently of the rest.  Row i is
-    ``SoupSampler.occupation`` on that substream, bit for bit, from the
-    same row body, run here as one loop: ``Substreams.over`` re-seeks one
-    generator per row after checking the index range once, the trivial
-    shape (0 or the checked intensity) needs no check per row, and each
-    row's values go straight into one flat buffer.
+    All rows come from the one substream (seed, start_index), in the draw
+    order of ``SoupSampler.occupations``.  Rows can therefore no longer be
+    sliced: the first k rows of a batch of n are not a batch of k, and no
+    other start index reproduces a later row.  Each row has the law of a
+    soup drawn alone; ``SoupSampler.occupation`` still draws one soup per
+    stream where records must regenerate from (seed, index).
     """
     if n_samples < 0:
         raise ValueError(f"n_samples must be nonnegative, got {n_samples}")
     sampler = SoupSampler(q, intensity)
     shape_add = intensity if trivial else 0.0
-    rngs = Substreams(seed).over(range(start_index, start_index + n_samples))
-    flat = array("d")
-    for _, values in sampler._occupations(rngs, shape_add):
-        flat.extend(values)
-    return np.frombuffer(flat).reshape(n_samples, q.n)
+    return sampler.occupations(substream(seed, start_index), n_samples, shape_add)[1]
 
 
 # --- transforms --------------------------------------------------------------

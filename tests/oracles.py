@@ -3,6 +3,7 @@ against.  Each is written the plain way, shares no code with the library,
 and is fast enough only for the small inputs the tests give it."""
 
 import itertools
+from bisect import bisect_left
 from typing import Hashable, Sequence
 
 import numpy as np
@@ -105,3 +106,40 @@ def wilson_branch_product(graph, tree, root):
             outside.remove(x)
             x = parent[x]
     return prob
+
+
+def batch_occupations(sampler, rng, count, shape):
+    """``SoupSampler.occupations`` replayed one scalar draw at a time, in
+    its documented order: each row's Poisson count, then every loop's
+    length, every loop's root, the bridge steps from the longest length
+    down with the longest loops first, and a gamma for each positive
+    shape, row-major.  Each pick is a ``bisect`` on one row of the
+    sampler's tables, which grow through the sampler's own methods."""
+    n, last = sampler.n_sites, sampler.n_sites - 1
+    rate = sampler.intensity * sampler.total_mass
+    rows = [row for row in range(count) for _ in range(rng.poisson(rate))]
+    lengths = []
+    for _ in rows:
+        u = rng.random()
+        cum = sampler._length_cum
+        while u > cum[-1] and sampler._tail_after(len(cum)) >= 1e-17:
+            sampler._extend_tables()
+        lengths.append(min(bisect_left(cum, u) + 1, len(cum)))
+    roots = [min(bisect_left(sampler._root_cum[k - 1], rng.random()), last) for k in lengths]
+    counts = [[0] * n for _ in range(count)]
+    for row, root in zip(rows, roots):
+        counts[row][root] += 1
+    current = list(roots)
+    longest_first = sorted(range(len(rows)), key=lambda j: -lengths[j])
+    for m in range(max(lengths, default=1) - 1, 0, -1):
+        for j in longest_first:
+            if lengths[j] > m:
+                probs = sampler.entries[current[j]] * sampler._powers[m][:, roots[j]]
+                goal = rng.random() * probs.sum()
+                current[j] = min(bisect_left(np.cumsum(probs).tolist(), goal), last)
+                counts[rows[j]][current[j]] += 1
+    values = [[rng.gamma(c + shape) if c + shape > 0 else 0.0 for c in row] for row in counts]
+    return (
+        np.array(counts, dtype=np.int64).reshape(count, n),
+        np.array(values, dtype=np.float64).reshape(count, n),
+    )

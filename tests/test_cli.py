@@ -50,6 +50,24 @@ def read_report(path):
     return lines[0], lines[1:]
 
 
+class _FirstDraw:
+    """A generator that keeps what its first draw returned as ``first``."""
+
+    def __init__(self, rng):
+        self._rng, self.first = rng, None
+
+    def __getattr__(self, name):
+        draw = getattr(self._rng, name)
+
+        def recorded(*args):
+            out = draw(*args)
+            if self.first is None:
+                self.first = out
+            return out
+
+        return recorded
+
+
 class TestRunConfig:
     def test_round_trip(self):
         cfg = RunConfig(
@@ -351,8 +369,9 @@ class TestMcCommand:
         assert "Warning" not in captured.err
 
     def test_zero_standard_error_exits_3(self, capsys):
-        # the ten two-state soups of seed 0's occupation transform are all
-        # empty, so that transform has zero spread and an infinite sigma count
+        # the batch of ten two-state soups that seed 0's occupation transform
+        # draws is all empty, so that transform has zero spread and an
+        # infinite sigma count
         assert main(["mc", "--seed", "0", "--samples", "10"]) == 3
         out = capsys.readouterr().out
         assert "[INCONCLUSIVE] occupation-transform-mc: value=inf" in out
@@ -369,18 +388,18 @@ class TestMcCommand:
         ]
 
     def test_report_values_are_pinned(self, tmp_path, capsys):
-        # each check's value regenerates from the seed alone, however the
-        # samplers seek and consume their streams
+        # each check's value regenerates from the seed alone; the three soup
+        # values are those of the batched soups, one stream per suite
         out = tmp_path / "mc.jsonl"
         assert main(["mc", "--seed", "42", "--samples", "1000", "--out", str(out)]) == 0
         _, checks = read_report(out)
         assert {c["check"]: c["value"] for c in checks} == {
             "wilson-uniform-k3": 0.9636761353490535,
             "wilson-uniform-k4": 0.707831377519854,
-            "soup-count-law": 0.8604575690243831,
-            "occupation-transform-mc": 1.1523725723995513,
+            "soup-count-law": 1.9268734338414457,
+            "occupation-transform-mc": 1.9687944271502797,
             "isomorphism-mc": 2.0141472176966846,
-            "squared-field-moments": 0.7543687275168115,
+            "squared-field-moments": 1.4592013468651948,
             "complex-field-covariance": 0.5241377132275525,
         }
 
@@ -405,15 +424,17 @@ class TestMcCommand:
         assert _wilson_tree_counts(g, 42, block, 6000) == counts
 
     def test_soup_loop_counts_are_the_sampled_soups(self):
-        # the count law reads each soup's count off its first draw; the
-        # soups themselves have exactly that many loops
+        # the count law reads its loop counts off the first draw of the
+        # batch of soups on its stream; every two-state loop steps x, y, x,
+        # ... and back, so a soup of c loops visits each site c times or more
         sampler = soup.SoupSampler(fx.two_state(), 1.0)
-        expected = [
-            len(sampler.sample(substream(42, 3 * _STREAM_BLOCK + i)))
-            for i in range(200)
-        ]
-        assert _soup_loop_counts(sampler, 42, 200) == expected
-        assert sum(expected) > 0
+        rng = _FirstDraw(substream(42, 3 * _STREAM_BLOCK))
+        visits, _ = sampler.occupations(rng, 200, 0.0)
+        counts = _soup_loop_counts(sampler, 42, 200)
+        np.testing.assert_array_equal(counts, rng.first, strict=True)
+        assert np.all(visits[:, 0] == visits[:, 1]) and np.all(visits[:, 0] >= counts)
+        assert np.array_equal(visits[:, 0] == 0, counts == 0)
+        assert counts.sum() > 0
 
     def test_config_file_drives_run(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "cfg.json", {"seed": 8, "samples": 150})

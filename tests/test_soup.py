@@ -35,7 +35,7 @@ from loopsoup.matrices import (
     require_acceptable,
 )
 from loopsoup.rng import substream
-from oracles import block_weights, loop_blocks
+from oracles import batch_occupations, block_weights, loop_blocks
 
 
 class TestComplexPoisson:
@@ -245,16 +245,21 @@ class TestSoupSampler:
             assert loop.sites == tuple([0] * loop.length)
 
 
-def _reference_occupation_fields(q, intensity, n_samples, seed, trivial=False, start_index=0):
-    # the per-row loop the fused path replaced: a soup's loops, then its counts
-    sampler = sp.SoupSampler(q, intensity)
-    shape_add = intensity if trivial else 0.0
-    out = np.empty((n_samples, q.n))
-    for i in range(n_samples):
-        rng = substream(seed, start_index + i)
-        counts = sp.discrete_occupation(sampler.sample(rng), q.n)
-        out[i] = sp.continuous_occupation(counts, shape_add, rng)
-    return out
+class _TopUniforms:
+    """Two loops a soup, and every uniform the largest double below 1."""
+
+    def __init__(self, rng):
+        self._rng = rng
+
+    def poisson(self, rate, size=None):
+        return 2 if size is None else np.full(size, 2)
+
+    def random(self, size=None):
+        top = np.nextafter(1.0, 0.0)
+        return top if size is None else np.full(size, top)
+
+    def gamma(self, shape):
+        return self._rng.gamma(shape)
 
 
 class TestFusedOccupation:
@@ -284,6 +289,64 @@ class TestFusedOccupation:
             assert np.array(values).tobytes() == drawn.tobytes()
         assert a.random() == b.random()  # same stream position after
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(1, 6),
+        rho=st.sampled_from([0.2, 0.6, 0.9, 0.97]),
+        seed=st.integers(0, 2**20),
+        sparsity=st.sampled_from([0.0, 0.5, 0.8]),
+        acyclic=st.booleans(),
+        intensity=st.sampled_from([0.25, 1.0, 3.5]),
+        trivial=st.booleans(),
+        count=st.integers(0, 40),
+        index=st.integers(0, 2**40),
+    )
+    def test_batch_matches_scalar_replay(
+        self, n, rho, seed, sparsity, acyclic, intensity, trivial, count, index
+    ):
+        q = _sparse_matrix(n, rho, seed, sparsity, acyclic)
+        shape = intensity if trivial else 0.0
+        a, b = substream(seed, index), substream(seed, index)
+        counts, values = sp.SoupSampler(q, intensity).occupations(a, count, shape)
+        expected = batch_occupations(sp.SoupSampler(q, intensity), b, count, shape)
+        assert counts.dtype == np.int64 and values.dtype == np.float64
+        assert counts.shape == values.shape == (count, n)
+        assert counts.tobytes() == expected[0].tobytes()
+        assert values.tobytes() == expected[1].tobytes()
+        assert a.random() == b.random()  # same stream position after
+
+    def test_batch_visits_match_single_soups(self):
+        # the batch and the soup-by-soup draw have the same mean visit counts
+        # (about 9 visits a soup), and both sit near the exact G(x, x) - 1
+        entries = np.abs(random_acceptable(4, 0.9, 23).entries.real)
+        q = WeightMatrix.from_entries(tuple("abcd"), entries)
+        sampler = sp.SoupSampler(q, 1.0)
+        n_soups = 20_000
+        batch, _ = sampler.occupations(substream(24), n_soups, 0.0)
+        single = np.array([sampler.occupation(substream(25, i), 0.0)[0] for i in range(n_soups)])
+        spread = np.sqrt((batch.var(axis=0) + single.var(axis=0)) / n_soups)
+        assert np.all(np.abs(batch.mean(axis=0) - single.mean(axis=0)) < 4 * spread)
+        exact = greens_exact(q).real.diagonal() - 1.0
+        assert np.all(np.abs(batch.mean(axis=0) - exact) < 4 * batch.std(axis=0) / math.sqrt(n_soups))
+
+    def test_batch_clamps_lengths_in_the_far_tail(self):
+        # at q = 0.9 the length law sums to 0.9999999999999998, below the top
+        # uniform, so each length is clamped where the tail bound vanishes
+        q = one_point(0.9)
+        counts, values = sp.SoupSampler(q, 1.0).occupations(_TopUniforms(substream(26)), 3, 0.0)
+        expected = batch_occupations(sp.SoupSampler(q, 1.0), _TopUniforms(substream(26)), 3, 0.0)
+        assert counts.tobytes() == expected[0].tobytes()
+        assert values.tobytes() == expected[1].tobytes()
+        clamped = sp.SoupSampler(q, 1.0)._draw_length(np.nextafter(1.0, 0.0))
+        np.testing.assert_array_equal(counts, 2 * clamped)
+
+    def test_batch_rejects_bad_count_and_shape(self):
+        sampler = sp.SoupSampler(two_state(), 1.0)
+        with pytest.raises(ValueError, match="count"):
+            sampler.occupations(substream(3), -1, 0.0)
+        with pytest.raises(InvalidShape, match="trivial shape"):
+            sampler.occupations(substream(3), 5, math.nan)
+
     @pytest.mark.parametrize(
         "q, intensity, trivial",
         [
@@ -296,9 +359,14 @@ class TestFusedOccupation:
         ids=["transform-one-point", "transform-two-state", "isomorphism", "moments"],
     )
     def test_fields_match_per_row_loop(self, q, intensity, trivial):
-        kwargs = dict(seed=42, trivial=trivial, start_index=5 * 10**6)
-        fields = sp.sample_occupation_fields(q, intensity, 400, **kwargs)
-        expected = _reference_occupation_fields(q, intensity, 400, **kwargs)
+        # the batch the suite draws, against the oracle's scalar replay
+        shape = intensity if trivial else 0.0
+        fields = sp.sample_occupation_fields(
+            q, intensity, 400, seed=42, trivial=trivial, start_index=5 * 10**6
+        )
+        _, expected = batch_occupations(
+            sp.SoupSampler(q, intensity), substream(42, 5 * 10**6), 400, shape
+        )
         assert fields.shape == expected.shape and fields.dtype == expected.dtype
         assert fields.tobytes() == expected.tobytes()
 
@@ -406,8 +474,6 @@ class TestOccupation:
         b = sp.sample_occupation_fields(q, 1.0, 50, seed=42)
         np.testing.assert_array_equal(a, b)
         assert a.shape == (50, 2)
-        tail = sp.sample_occupation_fields(q, 1.0, 20, seed=42, start_index=30)
-        np.testing.assert_array_equal(a[30:], tail)
 
 
 class TestClosedTransforms:

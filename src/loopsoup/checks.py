@@ -5,8 +5,8 @@ Each check is a function of a ``RunConfig`` that yields one or more
 the largest ``error`` of the ``loops.Comparison``s, the two sides of each
 identity, that the report keeps as its ``sides``.  ``VERIFY`` lists the
 deterministic checks and ``MC`` the seeded Monte Carlo ones, in report
-order, each entry marked with whether it runs in the forked child process.
-``run(table, config)`` runs a table and returns its reports in that order.
+order.  ``run(table, config)`` runs a table's checks in this process and
+returns their reports in that order.
 
 Reports contain no timing data, so running a table twice with the same
 configuration gives the same reports.
@@ -18,9 +18,6 @@ import hashlib
 import json
 import math
 import os
-import pickle
-import traceback
-from collections import Counter
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
@@ -445,15 +442,14 @@ def _transform_checks(config: RunConfig):
     )
 
 
-#: ``verify``'s checks in report order, as (check, runs in the forked
-#: child); none forks. User fixtures come first, so an unacceptable one
-#: aborts the run before the built-in suites.
+#: ``verify``'s checks in report order. User fixtures come first, so an
+#: unacceptable one aborts the run before the built-in suites.
 VERIFY = (
-    (_extra_fixture_checks, False),
-    (_builtin_fixture_checks, False),
-    (_lerw_check, False),
-    (_spanning_tree_checks, False),
-    (_transform_checks, False),
+    _extra_fixture_checks,
+    _builtin_fixture_checks,
+    _lerw_check,
+    _spanning_tree_checks,
+    _transform_checks,
 )
 
 
@@ -529,11 +525,23 @@ def _wilson_tree_counts(
     g: spanning.SimpleGraph, seed: int, block: int, samples: int
 ) -> list[int]:
     """How often each tree of ``enumerate_spanning_trees(g)`` is drawn by
-    ``samples`` Wilson trees off substream (seed, block * _STREAM_BLOCK)."""
-    drawn = Counter(
-        spanning.WilsonSampler(g).trees(substream(seed, block * _STREAM_BLOCK), samples)
+    one batch of ``samples`` Wilson trees off substream
+    (seed, block * _STREAM_BLOCK).
+
+    Each tree's successor row is coded as sum_x succ[x] * n^x, and only the
+    distinct codes are turned back into edge sets; the enumeration's cap of
+    8 vertices keeps n^n, and so every code, within int64.
+    """
+    trees = spanning.enumerate_spanning_trees(g)
+    succ = spanning.WilsonSampler(g).batch(substream(seed, block * _STREAM_BLOCK), samples)
+    _, first, counts = np.unique(
+        succ @ g.n ** np.arange(g.n, dtype=np.int64), return_index=True, return_counts=True
     )
-    return [drawn[t] for t in spanning.enumerate_spanning_trees(g)]
+    drawn = {
+        frozenset((min(x, s), max(x, s)) for x, s in enumerate(row) if x != s): count
+        for row, count in zip(succ[first].tolist(), counts.tolist())
+    }
+    return [drawn.get(t, 0) for t in trees]
 
 
 def _soup_loop_counts(sampler: soup.SoupSampler, seed: int, samples: int) -> np.ndarray:
@@ -551,9 +559,10 @@ def _wilson_uniformity(config: RunConfig):
     uniform law.
 
     On working code each check fails with probability ``p_value_floor``,
-    about 1e-3 per check per seed at the default: ``wilson-uniform-k3`` at
-    6000 samples failed at seeds 56 (p = 7.2e-4) and 149 (p = 4.2e-4) of
-    seeds 0-199 under an earlier sampler.
+    about 1e-3 per check per seed at the default: of seeds 0-199 at 6000
+    samples, ``wilson-uniform-k4`` fails at seed 13 (p = 4.2e-4), and
+    ``wilson-uniform-k3`` failed at seeds 56 (p = 7.2e-4) and 149
+    (p = 4.2e-4) under an earlier sampler.
     """
     for block, k in enumerate((3, 4), start=1):
         g = spanning.SimpleGraph.from_json_dict(fx.complete_graph(k))
@@ -702,11 +711,7 @@ def _complex_field_covariance(config: RunConfig):
     )
 
 
-#: ``mc``'s checks in report order, as (check, runs in the forked child).
-#: Since the soup suites draw their fields as one batch, the two forked
-#: ones take about 6 of the 40 ms that all take in one process at 6000
-#: samples, and about 75 of the 700 ms at 100 000 (2-vCPU box); Wilson's
-#: trees take most of the rest.
+#: ``mc``'s checks in report order.
 #:
 #: Each suite draws from one substream, its index b * _STREAM_BLOCK for
 #: its block b of a seed: Wilson K3 block 1 and K4 block 2, the count law
@@ -715,59 +720,17 @@ def _complex_field_covariance(config: RunConfig):
 #: complex field block 8. The isomorphism's soup side draws from index 0
 #: of ``seed`` and the moments' soup side from index 0 of ``seed + 1``.
 #: Each index owns 2**192 draws, so no two checks share a draw however
-#: many samples they take, whichever process runs them.
+#: many samples they take.
 MC = (
-    (_wilson_uniformity, False),
-    (_soup_count_law, False),
-    (_occupation_transform_mc, True),
-    (_isomorphism_mc, False),
-    (_squared_field_moments, True),
-    (_complex_field_covariance, False),
+    _wilson_uniformity,
+    _soup_count_law,
+    _occupation_transform_mc,
+    _isomorphism_mc,
+    _squared_field_moments,
+    _complex_field_covariance,
 )
 
 
 def run(table, config: RunConfig) -> list[CheckReport]:
-    """Run ``table``'s checks and return their reports in table order.
-
-    Where the platform can fork and the table marks a check, the marked
-    checks run in one child process while this process runs the rest. The
-    child pickles its reports, or the exception it raised with its
-    traceback, into a pipe and leaves by ``os._exit``; it writes nothing
-    else, so the merged report is the bytes one process writes. The
-    child's exception is raised here, chained to the child's traceback.
-    Otherwise, as for ``VERIFY``, every check runs in this process.
-    """
-    forked = [check for check, in_child in table if in_child]
-    if not forked or not hasattr(os, "fork"):
-        return [rep for check, _ in table for rep in check(config)]
-    read_fd, write_fd = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        status = 1
-        try:
-            os.close(read_fd)
-            try:
-                payload = pickle.dumps([list(check(config)) for check in forked])
-            except Exception as exc:
-                payload = pickle.dumps((exc, traceback.format_exc()))
-            with os.fdopen(write_fd, "wb") as pipe:
-                pipe.write(payload)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write_fd)
-    try:
-        groups = [None if in_child else list(check(config)) for check, in_child in table]
-    finally:
-        with os.fdopen(read_fd, "rb") as pipe:
-            payload = pipe.read()
-        _, status = os.waitpid(pid, 0)
-    code = os.waitstatus_to_exitcode(status)
-    if code != 0:
-        raise RuntimeError(f"the forked checks exited with status {code} before reporting")
-    result = pickle.loads(payload)
-    if isinstance(result, tuple):
-        exc, child_traceback = result
-        raise exc from RuntimeError(f"in the forked checks:\n{child_traceback}")
-    from_child = iter(result)
-    return [rep for group in groups for rep in (next(from_child) if group is None else group)]
+    """Run ``table``'s checks in order and return their reports."""
+    return [rep for check in table for rep in check(config)]

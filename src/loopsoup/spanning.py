@@ -3,7 +3,10 @@
 The random walk here is the simple one (uniform over neighbors).  Wilson's
 algorithm grows a tree from a root by running loop-erased walks from the
 remaining vertices; the resulting spanning tree is uniform over all spanning
-trees of the graph, whatever the root and the visit order.  The matrix-tree
+trees of the graph, whatever the root and the visit order.  ``WilsonSampler``
+walks one tree per ``sample`` call, for records that must regenerate from
+their own stream, or many trees in lockstep per ``batch`` call, for counts
+over many draws.  The matrix-tree
 count (a cofactor of the degree-minus-adjacency Laplacian) and literal
 enumeration over edge subsets give two independent values for the number of
 trees, and the loop-erased walk formula, one nested Green's-diagonal peel
@@ -16,7 +19,7 @@ import itertools
 import json
 import numbers
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -43,9 +46,6 @@ _MAX_ENUM_VERTICES = 8
 
 # a Wilson sample walking more steps than this in total is refused
 _MAX_WILSON_STEPS = 10**8
-
-# the fewest uniforms ``WilsonSampler.trees`` draws at once
-_WILSON_BLOCK = 1024
 
 
 def _is_vertex(v, n: int) -> bool:
@@ -263,18 +263,19 @@ class WilsonSampler:
     """Wilson's algorithm prepared for one graph and root.
 
     The connectivity and root checks, the neighbor lists and the degrees
-    are computed once here, so ``sample`` does only the walks.  Vertices are
-    attached in index order; each runs a simple random walk until it hits
-    the grown tree, and the erased walk becomes its branch.  A cap of 10^8
-    total steps per tree is a backstop against runaway walks; the BFS
-    connectivity check makes hitting it effectively impossible.
+    are computed once here, so ``sample`` and ``batch`` do only the walks.
+    Vertices are attached in index order; each runs a simple random walk
+    until it hits the grown tree, and the erased walk becomes its branch.
+    A cap of 10^8 total steps per tree is a backstop against runaway walks;
+    the BFS connectivity check makes hitting it effectively impossible.
 
     The walk keeps only the last exit from each vertex, ``succ[node]``;
     retracing those pointers from the start gives the walk's chronological
-    loop erasure (Wilson 1996), so the walk itself is never stored.
+    loop erasure (Wilson 1996), so the walk itself is never stored.  A step
+    from ``node`` on uniform u goes to ``adj[node][int(u * deg)]``.
 
-    Each walk step consumes exactly one uniform, and nothing else is drawn.
-    ``sample(rng)`` draws its uniforms in ``rng.random(k)`` blocks that are
+    ``sample(rng)`` walks one tree and consumes exactly one uniform per
+    step, nothing else.  It draws them in ``rng.random(k)`` blocks that are
     never overdrawn: when a block runs dry at a vertex outside the tree, k
     is 1 plus the number of vertices outside the tree that this walk has not
     yet visited.  The current vertex needs its next step, and each of those
@@ -283,14 +284,15 @@ class WilsonSampler:
     stream, and a generator shared across calls advances by the steps
     actually walked.
 
-    ``trees(rng, count)`` streams ``count`` trees off one generator, walking
-    the same uniforms in the same order, so it yields exactly the trees that
-    ``count`` calls of ``sample(rng)`` return.  It draws them in blocks of
-    at least 1024, carried over from one tree to the next, which spares a
-    call into the generator per few steps on a small graph.  It leaves
-    ``rng`` past the end of its last block, not just past the last uniform
-    used, so a stream that must go on where the trees stopped takes
-    ``sample`` instead.
+    ``batch(rng, count)`` walks ``count`` trees in lockstep and returns
+    their ``succ`` arrays, one row per tree, each pointing toward the root
+    with ``succ[root] = root``.  Each round draws one ``rng.random(a)`` for
+    the a trees still walking, in row order, and steps each of them once.
+    A walk that hits its tree is retraced from its start, which draws
+    nothing, and the tree then starts its next vertex outside the tree, in
+    index order; a tree with no vertex left stops walking.  So
+    ``batch(rng, 1)`` walks the uniforms of ``sample(rng)`` in its order,
+    but a larger batch interleaves its trees' uniforms.
     """
 
     def __init__(self, graph: SimpleGraph, root: int = 0) -> None:
@@ -304,59 +306,85 @@ class WilsonSampler:
         self._degrees = [len(a) for a in self._adj]
 
     def sample(self, rng: np.random.Generator) -> Tree:
-        (tree,) = self._walks(rng, 1, 0)
-        return tree
+        adj, degrees, random = self._adj, self._degrees, rng.random
+        n, max_steps = self.n, _MAX_WILSON_STEPS
+        in_tree = [False] * n
+        in_tree[self.root] = True
+        succ = [0] * n
+        walk_of = [-1] * n  # the start of the last walk that visited a vertex
+        outside = n - 1  # vertices not yet in the tree
+        edges: list[tuple[int, int]] = []
+        uniforms: list[float] = []
+        used = steps = 0
+        for v in range(n):
+            if in_tree[v]:
+                continue
+            walk_of[v] = v
+            visited = 1  # vertices outside the tree this walk has visited
+            node = v
+            while not in_tree[node]:
+                steps += 1
+                if steps > max_steps:
+                    raise NumericalFailure("Wilson walk exceeded the step backstop")
+                if used == len(uniforms):
+                    uniforms = random(1 + outside - visited).tolist()
+                    used = 0
+                nxt = adj[node][int(uniforms[used] * degrees[node])]
+                used += 1
+                succ[node] = nxt
+                if walk_of[nxt] != v and not in_tree[nxt]:
+                    walk_of[nxt] = v
+                    visited += 1
+                node = nxt
+            node = v
+            while not in_tree[node]:
+                in_tree[node] = True
+                outside -= 1
+                nxt = succ[node]
+                edges.append((node, nxt) if node < nxt else (nxt, node))
+                node = nxt
+        return frozenset(edges)
 
-    def trees(self, rng: np.random.Generator, count: int) -> Iterator[Tree]:
+    def batch(self, rng: np.random.Generator, count: int) -> np.ndarray:
         if count < 0:
             raise ValueError(f"count must be nonnegative, got {count}")
-        return self._walks(rng, count, _WILSON_BLOCK)
-
-    def _walks(self, rng: np.random.Generator, count: int, block: int) -> Iterator[Tree]:
-        # a dry block is refilled with max(block, k) uniforms, k the fewest
-        # this walk can use: block 0 draws exactly the uniforms walked
-        adj, degrees, random = self._adj, self._degrees, rng.random
-        max_steps = _MAX_WILSON_STEPS
-        n = self.n
-        uniforms: list[float] = []
-        used = 0
-        for _ in range(count):
-            in_tree = [False] * n
-            in_tree[self.root] = True
-            succ = [0] * n
-            walk_of = [-1] * n  # the start of the last walk that visited a vertex
-            outside = n - 1  # vertices not yet in the tree
-            edges: list[tuple[int, int]] = []
-            steps = 0
-            for v in range(n):
-                if in_tree[v]:
-                    continue
-                walk_of[v] = v
-                visited = 1  # vertices outside the tree this walk has visited
-                node = v
-                while not in_tree[node]:
-                    steps += 1
-                    if steps > max_steps:
-                        raise NumericalFailure("Wilson walk exceeded the step backstop")
-                    if used == len(uniforms):
-                        need = 1 + outside - visited
-                        uniforms = random(need if need > block else block).tolist()
-                        used = 0
-                    nxt = adj[node][int(uniforms[used] * degrees[node])]
-                    used += 1
-                    succ[node] = nxt
-                    if walk_of[nxt] != v and not in_tree[nxt]:
-                        walk_of[nxt] = v
-                        visited += 1
-                    node = nxt
-                node = v
-                while not in_tree[node]:
-                    in_tree[node] = True
-                    outside -= 1
-                    nxt = succ[node]
-                    edges.append((node, nxt) if node < nxt else (nxt, node))
-                    node = nxt
-            yield frozenset(edges)
+        n, root = self.n, self.root
+        nbrs = np.zeros((n, max(self._degrees)), dtype=np.int64)
+        for v, a in enumerate(self._adj):
+            nbrs[v, : len(a)] = a
+        degrees = np.array(self._degrees, dtype=np.float64)
+        succ = np.full((count, n), root, dtype=np.int64)
+        in_tree = np.zeros((count, n), dtype=bool)
+        in_tree[:, root] = True
+        first = 1 if root == 0 else 0
+        live = np.arange(count if first < n else 0)  # rows still walking
+        start = np.full(live.size, first)  # their walks' starts
+        node = start.copy()  # and where those walks stand
+        steps = 0
+        while live.size:
+            steps += 1
+            if steps > _MAX_WILSON_STEPS:
+                raise NumericalFailure("Wilson walk exceeded the step backstop")
+            nxt = nbrs[node, (rng.random(live.size) * degrees[node]).astype(np.int64)]
+            succ[live, node] = nxt
+            node = nxt
+            hit = np.flatnonzero(in_tree[live, nxt])
+            if not hit.size:
+                continue
+            rows, at = live[hit], start[hit]
+            while rows.size:  # retrace each hit walk's erasure into its tree
+                in_tree[rows, at] = True
+                at = succ[rows, at]
+                open_ = ~in_tree[rows, at]
+                rows, at = rows[open_], at[open_]
+            # every vertex before a start is in its tree, so the first
+            # vertex outside it is the next start
+            nxt_start = in_tree[live[hit]].argmin(axis=1)
+            start[hit] = node[hit] = nxt_start
+            walking = np.ones(live.size, dtype=bool)
+            walking[hit] = ~in_tree[live[hit], nxt_start]
+            live, start, node = live[walking], start[walking], node[walking]
+        return succ
 
 
 def wilson_sample(

@@ -143,3 +143,38 @@ def batch_occupations(sampler, rng, count, shape):
         np.array(counts, dtype=np.int64).reshape(count, n),
         np.array(values, dtype=np.float64).reshape(count, n),
     )
+
+
+def wilson_batch(adj, root, rng, count):
+    """``WilsonSampler.batch`` replayed in plain Python, in its documented
+    order: each round one ``rng.random()`` per tree still walking, in row
+    order, and a step to ``adj[node][int(u * deg)]``; a walk that hits its
+    tree retraces its last exits from its start, and the tree then starts
+    its lowest vertex outside the tree.  Returns the rows as lists."""
+    n = len(adj)
+    succ = [[root] * n for _ in range(count)]
+    in_tree = [[v == root for v in range(n)] for _ in range(count)]
+    first = 1 if root == 0 else 0
+    walk = {row: (first, first) for row in range(count)} if n > 1 else {}  # (start, node)
+    live = sorted(walk)
+    while live:
+        uniforms = [rng.random() for _ in live]
+        still = []
+        for row, u in zip(live, uniforms):
+            start, node = walk[row]
+            nxt = adj[node][int(u * len(adj[node]))]
+            succ[row][node] = nxt
+            if not in_tree[row][nxt]:
+                walk[row] = (start, nxt)
+                still.append(row)
+                continue
+            x = start
+            while not in_tree[row][x]:
+                in_tree[row][x] = True
+                x = succ[row][x]
+            outside = [v for v in range(n) if not in_tree[row][v]]
+            if outside:
+                walk[row] = (outside[0], outside[0])
+                still.append(row)
+        live = still
+    return succ

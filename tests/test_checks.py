@@ -19,7 +19,6 @@ def verify_reports():
 
 @pytest.fixture(scope="module")
 def mc_reports():
-    # two of the checks run in the forked child, which sends back their sides too
     return checks.run(checks.MC, RunConfig(samples=1000))
 
 
@@ -36,7 +35,7 @@ class TestReducer:
             assert rep.sides, rep.check
             assert rep.value == max(c.error for c in rep.sides), rep.check
 
-    def test_forked_checks_send_back_their_sides(self, mc_reports):
+    def test_sampled_transforms_keep_their_sides(self, mc_reports):
         by_name = {rep.check: rep for rep in mc_reports}
         assert len(by_name["occupation-transform-mc"].sides) == 6
         assert len(by_name["squared-field-moments"].sides) == 4

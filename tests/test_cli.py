@@ -1,12 +1,9 @@
 import json
 import math
 import os
-import re
-import signal
 import subprocess
 import sys
 import warnings
-from contextlib import contextmanager
 from decimal import Decimal, localcontext
 from pathlib import Path
 
@@ -285,22 +282,6 @@ class TestVerifyCommand:
         assert len(extras) == 16
         assert all(c["outcome"] == "pass" for c in extras)
 
-    @pytest.mark.parametrize("config", [None, "adversarial_verify.json"])
-    def test_never_forks(self, config, monkeypatch, tmp_path, capsys):
-        # verify's table marks no check for the child, so it runs in-process
-        argv = ["verify", "--config", str(DATA / config)] if config else ["verify"]
-        plain, unforked = tmp_path / "plain.jsonl", tmp_path / "unforked.jsonl"
-        assert main(argv + ["--out", str(plain)]) == 0
-        console = capsys.readouterr().out
-
-        def refuse():
-            raise AssertionError("verify forked")
-
-        monkeypatch.setattr(os, "fork", refuse)
-        assert main(argv + ["--out", str(unforked)]) == 0
-        assert capsys.readouterr().out == console
-        assert unforked.read_bytes() == plain.read_bytes()
-
     def test_overflowed_tail_is_inconclusive(self, tmp_path, capsys):
         # rho(|Q|) = 0.99999: e^tail overflows, so the truncated loop-mass
         # checks certify nothing, and the report is still written
@@ -388,14 +369,15 @@ class TestMcCommand:
         ]
 
     def test_report_values_are_pinned(self, tmp_path, capsys):
-        # each check's value regenerates from the seed alone; the three soup
-        # values are those of the batched soups, one stream per suite
+        # each check's value regenerates from the seed alone; the two Wilson
+        # values are those of one lockstep batch of trees per graph, and the
+        # three soup values those of the batched soups, one stream per suite
         out = tmp_path / "mc.jsonl"
         assert main(["mc", "--seed", "42", "--samples", "1000", "--out", str(out)]) == 0
         _, checks = read_report(out)
         assert {c["check"]: c["value"] for c in checks} == {
-            "wilson-uniform-k3": 0.9636761353490535,
-            "wilson-uniform-k4": 0.707831377519854,
+            "wilson-uniform-k3": 0.31949936265070866,
+            "wilson-uniform-k4": 0.8812518962378303,
             "soup-count-law": 1.9268734338414457,
             "occupation-transform-mc": 1.9687944271502797,
             "isomorphism-mc": 2.0141472176966846,
@@ -406,12 +388,12 @@ class TestMcCommand:
     @pytest.mark.parametrize(
         "doc, block, counts",
         [
-            (fx.complete_graph(3), 1, [1944, 2012, 2044]),
+            (fx.complete_graph(3), 1, [1996, 2008, 1996]),
             (
                 fx.complete_graph(4),
                 2,
-                [385, 387, 374, 346, 371, 386, 396, 372,
-                 349, 381, 380, 367, 354, 397, 373, 382],
+                [374, 370, 406, 357, 357, 394, 373, 351,
+                 389, 342, 358, 401, 396, 386, 401, 345],
             ),
         ],
         ids=["k3", "k4"],
@@ -453,6 +435,25 @@ class TestMcCommand:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert main(["mc", "--config", str(bad)]) == 2
+
+    @pytest.mark.parametrize("error", [ValueError, NumericalFailure])
+    def test_suite_error_exits_2_with_its_message(self, error, tmp_path, monkeypatch, capsys):
+        # a suite that raises stops the run: no report line, no --out file
+        def failing(config):
+            raise error("raised by a suite")
+
+        table = tuple(
+            failing if suite.__name__ == "_squared_field_moments" else suite
+            for suite in loopsoup.checks.MC
+        )
+        assert failing in table
+        monkeypatch.setattr(loopsoup.checks, "MC", table)
+        out = tmp_path / "mc.jsonl"
+        assert main(["mc", "--seed", "1", "--samples", "1000", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "error: raised by a suite" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
 
 
 # every report line's check name and inputs digest, in report order: a
@@ -527,104 +528,6 @@ class TestReportLines:
         assert main(argv + ["--out", str(out)]) == 0
         _, checks = read_report(out)
         assert [(c["check"], c["inputs_digest"]) for c in checks] == lines
-
-
-def _assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-@contextmanager
-def _time_limit(seconds):
-    # a parent left waiting on a child that never reports fails the test
-    # instead of hanging the run
-    def expire(signum, frame):
-        raise TimeoutError(f"still waiting after {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-
-
-def _swap_suite(monkeypatch, name, replacement):
-    # keeps the suite's place in the report and the process it runs in
-    suites = tuple(
-        (replacement if suite.__name__ == name else suite, forked)
-        for suite, forked in loopsoup.checks.MC
-    )
-    assert suites != loopsoup.checks.MC
-    monkeypatch.setattr(loopsoup.checks, "MC", suites)
-
-
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="mc forks only where os.fork exists")
-class TestMcProcesses:
-    @pytest.mark.parametrize("samples", [1000, 1500])
-    @pytest.mark.parametrize("seed", [0, 7, 42])
-    def test_forked_run_writes_the_in_process_bytes(
-        self, seed, samples, tmp_path, monkeypatch, capsys
-    ):
-        argv = ["mc", "--seed", str(seed), "--samples", str(samples), "--out"]
-        forked, single = tmp_path / "forked.jsonl", tmp_path / "single.jsonl"
-        code = main(argv + [str(forked)])
-        console = capsys.readouterr().out
-        _assert_no_child_left()
-        monkeypatch.delattr(os, "fork")
-        assert main(argv + [str(single)]) == code
-        assert capsys.readouterr().out == console
-        assert forked.read_bytes() == single.read_bytes()
-
-    @pytest.mark.parametrize("error", [ValueError, NumericalFailure])
-    def test_child_error_exits_2_with_its_message(
-        self, error, tmp_path, monkeypatch, capsys
-    ):
-        def failing(config):
-            raise error(f"raised in process {os.getpid()}")
-
-        _swap_suite(monkeypatch, "_squared_field_moments", failing)
-        out = tmp_path / "mc.jsonl"
-        with _time_limit(60):
-            code = main(["mc", "--seed", "1", "--samples", "1000", "--out", str(out)])
-        assert code == 2
-        captured = capsys.readouterr()
-        pid = re.search(r"error: raised in process (\d+)", captured.err)
-        assert pid and int(pid.group(1)) != os.getpid()
-        assert captured.out == ""
-        assert not out.exists()
-        with _time_limit(60), pytest.raises(error) as raised:
-            loopsoup.checks.run(loopsoup.checks.MC, RunConfig(seed=1, samples=1000))
-        assert "in failing" in str(raised.value.__cause__)  # the child's traceback
-        _assert_no_child_left()
-
-    def test_parent_error_still_reaps_the_child(self, monkeypatch, capsys):
-        def failing(config):
-            raise ValueError("raised beside the child")
-
-        _swap_suite(monkeypatch, "_soup_count_law", failing)
-        assert main(["mc", "--seed", "1", "--samples", "1000"]) == 2
-        assert "error: raised beside the child" in capsys.readouterr().err
-        _assert_no_child_left()
-
-    def test_child_that_dies_unreported_is_an_error(self, tmp_path, monkeypatch, capsys):
-        parent = os.getpid()
-
-        def dying(config):
-            if os.getpid() == parent:  # never end the test process itself
-                raise AssertionError("a forked suite ran in the parent")
-            os._exit(1)
-
-        _swap_suite(monkeypatch, "_occupation_transform_mc", dying)
-        out = tmp_path / "mc.jsonl"
-        with _time_limit(60), pytest.raises(
-            RuntimeError, match="exited with status 1 before reporting"
-        ):
-            main(["mc", "--seed", "1", "--samples", "1000", "--out", str(out)])
-        assert capsys.readouterr().out == ""
-        assert not out.exists()
-        _assert_no_child_left()
 
 
 def _cli_import_loads(module):

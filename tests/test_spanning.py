@@ -17,7 +17,7 @@ from loopsoup.fixtures import (
     random_connected_graph,
 )
 from loopsoup.rng import substream
-from oracles import loop_erase, wilson_branch_product
+from oracles import loop_erase, wilson_batch, wilson_branch_product
 
 
 def graph(doc: dict) -> sp.SimpleGraph:
@@ -369,7 +369,7 @@ def torus_graph(side: int) -> dict:
 
 
 class CountingStream:
-    """A generator's ``random`` that records the size of every block drawn."""
+    """A generator's ``random`` that records the size of every draw."""
 
     def __init__(self, rng):
         self._rng = rng
@@ -378,6 +378,11 @@ class CountingStream:
     def random(self, size=None):
         self.blocks.append(size)
         return self._rng.random(size)
+
+
+def succ_tree(row, root) -> sp.Tree:
+    """The tree a successor row points out, as (low, high) edges."""
+    return frozenset((min(x, int(s)), max(x, int(s))) for x, s in enumerate(row) if x != root)
 
 
 class TestWilsonTrees:
@@ -391,44 +396,47 @@ class TestWilsonTrees:
         ],
         ids=["k3", "k4", "torus-6x6", "random-10"],
     )
-    def test_streams_the_trees_of_repeated_sample(self, doc, root, count):
+    def test_batch_of_one_is_sample(self, doc, root, count):
         sampler = sp.WilsonSampler(graph(doc), root=root)
-        bulk = CountingStream(substream(64, 5))
-        exact = CountingStream(substream(64, 5))
-        for tree in sampler.trees(bulk, count):
-            assert tree == sampler.sample(exact)
-        assert len(bulk.blocks) >= 2  # at least one block boundary crossed
-        assert all(size >= sp._WILSON_BLOCK for size in bulk.blocks)
-        # a block is drawn only when the last one has run dry
-        steps = sum(exact.blocks)
-        assert sum(bulk.blocks[:-1]) < steps <= sum(bulk.blocks)
+        a, b = substream(64, 5), substream(64, 5)
+        for _ in range(count):
+            (row,) = sampler.batch(a, 1)
+            assert row[root] == root
+            assert succ_tree(row, root) == sampler.sample(b)
+        assert a.random() == b.random()  # both streams at the same position
 
-    @pytest.mark.parametrize("block", [1, 2, 7])
-    def test_small_blocks_split_walks(self, monkeypatch, block):
-        # blocks smaller than a tree's walk run dry in the middle of walks
-        monkeypatch.setattr(sp, "_WILSON_BLOCK", block)
-        g = graph(random_connected_graph(8, 6, seed=12))
-        sampler = sp.WilsonSampler(g, root=3)
-        b = substream(65)
-        assert list(sampler.trees(substream(65), 50)) == [sampler.sample(b) for _ in range(50)]
-
-    def test_is_a_stream(self):
-        sampler = sp.WilsonSampler(graph(complete_graph(4)))
-        bulk = CountingStream(substream(66))
-        trees = sampler.trees(bulk, 10**12)
-        assert bulk.blocks == []  # nothing is drawn before the first tree
-        first = [next(trees) for _ in range(10)]
-        assert bulk.blocks == [sp._WILSON_BLOCK]
-        b = substream(66)
-        assert first == [sampler.sample(b) for _ in range(10)]
+    @settings(max_examples=80, deadline=None)
+    @given(
+        shape=st.one_of(
+            st.tuples(st.just("random"), st.integers(1, 12), st.integers(0, 20)),
+            st.tuples(st.just("cycle"), st.integers(3, 40), st.just(0)),
+            st.tuples(st.just("path"), st.integers(1, 20), st.just(0)),
+        ),
+        seed=st.integers(0, 2**20),
+        root_pick=st.integers(0, 2**20),
+        count=st.integers(0, 30),
+    )
+    def test_matches_the_plain_replay(self, shape, seed, root_pick, count):
+        kind, n, extra = shape
+        if kind == "random":
+            doc = random_connected_graph(n, extra, seed)
+        else:
+            doc = cycle_graph(n) if kind == "cycle" else path_graph(n)
+        g = graph(doc)
+        root = root_pick % g.n
+        a, b = substream(seed, 3), substream(seed, 3)
+        succ = sp.WilsonSampler(g, root=root).batch(a, count)
+        assert succ.shape == (count, g.n) and succ.dtype == np.int64
+        assert succ.tolist() == wilson_batch(g.neighbors(), root, b, count)
+        assert a.random() == b.random()  # same stream position after
 
     def test_no_trees(self):
         sampler = sp.WilsonSampler(graph(complete_graph(4)))
         bulk = CountingStream(substream(67))
-        assert list(sampler.trees(bulk, 0)) == []
+        assert sampler.batch(bulk, 0).shape == (0, 4)
         assert bulk.blocks == []
         with pytest.raises(ValueError, match="count"):
-            sampler.trees(bulk, -1)
+            sampler.batch(bulk, -1)
 
     def test_step_backstop(self, monkeypatch):
         # rooted at the hub, a 5-leaf star takes exactly 5 walk steps per tree
@@ -437,7 +445,7 @@ class TestWilsonTrees:
         )
         sampler = sp.WilsonSampler(star)
         monkeypatch.setattr(sp, "_MAX_WILSON_STEPS", 5)
-        assert len(list(sampler.trees(substream(62), 3))) == 3
+        assert (sampler.batch(substream(62), 3) == 0).all()
         monkeypatch.setattr(sp, "_MAX_WILSON_STEPS", 4)
         with pytest.raises(NumericalFailure):
-            next(sampler.trees(substream(62), 3))
+            sampler.batch(substream(62), 3)

@@ -313,13 +313,15 @@ def _spanning_tree_checks(config: RunConfig):
         graphs=sorted(docs),
     )
 
-    # every spanning tree is equally likely under the walk formula
+    # every spanning tree is equally likely under the walk formula, each
+    # graph's trees replayed on the one sampler and its one inverse
+    samplers = {k: spanning.WilsonSampler(graphs[k]) for k in ("k3", "k4")}
     yield _report(
         "tree-probability-uniform",
         "replayed branch weights give 1/count for every spanning tree",
         [
-            Comparison(spanning.spanning_tree_probability(graphs[k], t) * len(trees[k]), 1.0)
-            for k in ("k3", "k4")
+            Comparison(samplers[k].probability(t) * len(trees[k]), 1.0)
+            for k in samplers
             for t in trees[k]
         ],
         1e-8,

@@ -9,16 +9,15 @@ rotation class (an unrooted loop) is reached once, from its lowest site,
 and weighed by its number of rooted loops.
 
 Loop masses (sums of m over families of loops) are computed three ways that
-must agree: literal enumeration (budgeted), per-length matrix traces with a
+must agree: literal sums over the loops, per-length matrix traces with a
 certified tail bound, and closed determinant or Green's-diagonal formulas
-for the exponentials.  The literal sums walk shared path prefixes; the
-loops of the largest length are added from the paths two steps short of
-them, so the walk's deepest and largest level is never built.
+for the exponentials.  The literal sums sweep summed path weights per
+site and visit count, so no loop is enumerated; ``prefix_walk`` enumerates
+them for checks that need each loop on its own.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -68,7 +67,7 @@ class RootedLoop:
         return len(self.sites)
 
 
-def prefix_walk(support, max_len, start, extend, *, deepest=None):
+def prefix_walk(support, max_len, start, extend):
     """Depth-first walk over the supported paths x_0..x_d that never step
     below their root x_0, from every root.
 
@@ -82,13 +81,9 @@ def prefix_walk(support, max_len, start, extend, *, deepest=None):
     path that cannot return to the root over sites >= root within max_len
     steps in all is not extended, nor is a root with no such loop, and
     pending chunks wait on a stack, so memory stays O(max_len * n * 1024).
-    Paths of ``deepest`` steps (max_len - 1 by default) are the last ones
-    yielded and extended no further; the pruning still allows max_len
-    steps.  Raises TooLarge before the first chunk when more than
-    DEFAULT_BUDGET rooted loops (of any root) have length at most max_len.
+    Raises TooLarge before the first chunk when more than DEFAULT_BUDGET
+    rooted loops (of any root) have length at most max_len.
     """
-    if deepest is None:
-        deepest = max_len - 1
     n_sites = len(support)
     # the clamp keeps the saturated path counts within int64
     budget = min(DEFAULT_BUDGET, 2**62 // n_sites**3)
@@ -120,7 +115,7 @@ def prefix_walk(support, max_len, start, extend, *, deepest=None):
         while stack:
             depth, sites, carried = stack.pop()
             yield root, depth, sites, carried
-            if depth == deepest:
+            if depth == max_len - 1:
                 continue
             # every step out of every path that can still close in time
             counts = degree[sites]
@@ -150,61 +145,39 @@ def loop_prefix_sums(
     ``reverse``, rows 2 and 3 do the same for the weight of the loop walked
     backwards.
 
-    Each rotation class is summed from its lowest site r: the prefix walk
-    from r keeps to sites >= r and counts the k visits to r.  A class of n
-    steps that repeats its minimal cycle p times has k/p rootings at r and
-    n/p rooted loops, so a closing path weighs n/k.  A path x_0..x_d
-    carries its running products, one multiply per step, and the closing
-    entry Q(x_d, x_0) makes it the loop of length d + 1; loops with a
-    common prefix share its products.  The walk stops at d = max_len - 2:
-    the loops of max_len steps add their last two steps x_d -> x -> r there,
-    summed over the free site x >= r by one product per root (x > r keeps
-    k, x = r adds a visit), so the largest level is never walked.  Refuses
-    more than DEFAULT_BUDGET rooted loops with TooLarge before any work.
+    Each rotation class is summed from its lowest site r, over the supported
+    paths from r that keep to sites >= r and close with a step back to r.
+    A class of n steps that repeats its minimal cycle p times and visits r
+    k times has k/p rootings at r and n/p rooted loops, so a closing path
+    weighs n/k.  Paths that stand on the same site after the same number of
+    visits to r have the same futures, so the sweep keeps only their summed
+    weights, per site and per visit count, plain and times the product of
+    ``factor``: one matrix product per step and root, and no path is
+    enumerated.  The arrivals at r are the loops of that length; they go on
+    with one visit more.
     """
     support = q.support()
     factor = np.asarray(factor, dtype=np.complex128)
-    # one row per running weight: forwards, and backwards with ``reverse``
+    # one running weight per direction: forwards, and backwards with ``reverse``
     walks = np.array((q.entries, q.entries.T) if reverse else (q.entries,))
-    step = walks[:, support]
-    # a path closes into a loop only along a supported step back to its root
-    close = np.where(support, walks, 0.0)
-    sums = np.zeros((2 * len(walks), max_len), dtype=np.complex128)
-
-    @functools.lru_cache(maxsize=1)
-    def last_two_steps(root):
-        """Per site s, the weights of s -> x -> root over x > root, plain and
-        times factor[x], and of s -> root -> root."""
-        back = close[:, root + 1 :, root]
-        ahead = close[:, :, root + 1 :]
-        return (
-            (ahead @ back[:, :, None])[:, :, 0],
-            (ahead @ (back * factor[root + 1 :])[:, :, None])[:, :, 0],
-            close[:, :, root] * close[:, root, root, None],
-        )
-
-    def extend(root, carried, parent, edge, sites):
-        weights, disc, visits = carried
-        visits = visits[parent] + (sites == root)
-        return weights[:, parent] * step[:, edge], disc[parent] * factor[sites], visits
-
-    def start(root):
-        return np.ones((len(walks), 1)), factor[[root]], np.ones(1)
-
-    walk = prefix_walk(support, max_len, start, extend, deepest=max(max_len - 2, 0))
-    for root, depth, sites, (weights, disc, visits) in walk:
-        loops = weights * (close[:, sites, root] * ((depth + 1) / visits))
-        sums[::2, depth] += loops.sum(axis=1)
-        sums[1::2, depth] += loops @ disc
-        if depth + 2 == max_len:
-            beyond, beyond_disc, again = last_two_steps(root)
-            keep, revisit = max_len / visits, max_len / (visits + 1)
-            loops = weights * (beyond[:, sites] * keep + again[:, sites] * revisit)
-            sums[::2, -1] += loops.sum(axis=1)
-            revisit_disc = factor[root] * revisit
-            loops = weights * (beyond_disc[:, sites] * keep + again[:, sites] * revisit_disc)
-            sums[1::2, -1] += loops @ disc
-    return sums
+    steps = np.where(support, walks, 0.0)[:, None]
+    sums = np.zeros((len(walks), 2, max_len), dtype=np.complex128)
+    for root in range(q.n):
+        step, disc = steps[..., root:, root:], factor[root:]
+        # state[a, j, k - 1, x - root]: the paths at x after k visits to the
+        # root, summed plainly (j = 0) and times their factors (j = 1)
+        state = np.zeros((len(walks), 2, 1, q.n - root), dtype=np.complex128)
+        state[:, :, 0, 0] = 1.0, factor[root]
+        for depth in range(max_len):
+            walked = state @ step
+            back = walked[..., 0]  # the loops of depth + 1 steps, by visits
+            sums[..., depth] += back @ ((depth + 1) / np.arange(1.0, depth + 2))
+            # the paths go on, those back at the root with one visit more
+            state = np.zeros(walked.shape[:2] + (depth + 2, q.n - root), dtype=np.complex128)
+            state[:, :, :-1, 1:] = walked[..., 1:]
+            state[:, :, 1:, 0] = back
+            state[:, 1] *= disc
+    return sums.reshape(2 * len(walks), max_len)
 
 
 def loop_mass_per_length(q: WeightMatrix, max_len: int) -> np.ndarray:

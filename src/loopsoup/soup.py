@@ -489,8 +489,8 @@ def _loop_sum_check(
     the slack that bounds their difference caused by the truncation.
 
     S is the truncated sum over rooted loops of m_f - m, each loop taken
-    with its reversal when ``reversal`` is set.  ``loop_prefix_sums`` walks
-    each rotation class from its lowest site and weighs it by its number of
+    with its reversal when ``reversal`` is set.  ``loop_prefix_sums`` sums
+    each rotation class from its lowest site, weighed by its number of
     rooted loops, so S stays the literal rooted loop sum.
     """
     vec = np.asarray(f, dtype=np.complex128)
@@ -538,11 +538,11 @@ def occupation_transform_loop_check(
     The soup of intensity t has E[exp(-<f, field>)] equal to the exponential
     of t times the sum over rooted loops of m_f(loop) - m(loop), m_f being
     the measure with each visit to x discounted by 1/(1 + f(x)).  That sum
-    is taken literally over loops up to ``max_len``: the prefix walk of
-    ``loops.loop_prefix_sums`` reaches each rotation class from its lowest
-    site and weighs it by its number of rooted loops, and loops sharing a
-    prefix share its running products.  The ``Comparison`` has the closed
-    transform as ``lhs``, the summed one as ``rhs`` and the truncation's
-    bound as ``slack``.
+    is taken literally over loops up to ``max_len``:
+    ``loops.loop_prefix_sums`` sums each rotation class from its lowest
+    site, weighed by its number of rooted loops, and sums the paths that
+    share a site and a visit count to it once.  The ``Comparison`` has the
+    closed transform as ``lhs``, the summed one as ``rhs`` and the
+    truncation's bound as ``slack``.
     """
     return _loop_sum_check(q, f, intensity, max_len, reversal=False)

@@ -210,53 +210,14 @@ def srw_weights(graph: SimpleGraph) -> WeightMatrix:
 def spanning_tree_probability(
     graph: SimpleGraph, tree: Iterable[tuple[int, int]], root: int = 0
 ) -> float:
-    """Probability Wilson's algorithm returns this tree, from the walk formula.
-
-    Replays the algorithm deterministically: each vertex in index order
-    walks its tree path into the already-grown part.  That branch's erased
-    walk weight is its steps times the Green's diagonals of its sites, each
-    over the sites not yet in the tree: peeling those sites off the inverse
-    leaves the next branch's.  So the branches multiply to Q(T), the steps
-    along the tree toward the root, times one peel of the non-root sites in
-    the order they join the tree.  It comes out as 1 / (number of spanning
-    trees) whatever the tree: the sampler is uniform.
-    """
-    if not _is_vertex(root, graph.n):
-        raise InvalidGraph(f"root {root} out of range")
+    """Probability Wilson's algorithm returns this tree; see
+    ``WilsonSampler.probability``, which this prepares afresh on every call.
+    A disconnected graph has no spanning tree to replay."""
     try:
-        edge_set = {(min(i, j), max(i, j)) for i, j in tree}
-        vertices = all(_is_vertex(v, graph.n) for e in edge_set for v in e)
-    except (TypeError, ValueError):  # an edge that is not a pair of numbers
-        edge_set, vertices = set(), False
-    spans = vertices and edge_set <= set(graph.edges) and _spans(graph.n, sorted(edge_set))
-    if len(edge_set) != graph.n - 1 or not spans:
-        raise InvalidGraph("edge set is not a spanning tree of the graph")
-    if graph.n == 1:
-        return 1.0  # no branch: the empty product
-    # toward[u]: u's neighbor on its tree path to the root, which enters the grown part
-    adj = graph.neighbors()
-    toward = {root: root}
-    queue = [root]
-    for u in queue:
-        for w in adj[u]:
-            if w not in toward and (min(u, w), max(u, w)) in edge_set:
-                toward[w] = u
-                queue.append(w)
-
-    # the tree's edges oriented toward the root, in the order their sites join it
-    joined: dict[int, int] = {}
-    for u in range(graph.n):
-        while u != root and u not in joined:  # u's branch, up into the grown part
-            joined[u] = toward[u]
-            u = toward[u]
-
-    weights = srw_weights(graph)
-    steps = np.prod([weights.entries[u, w] for u, w in joined.items()])
-    nonroot = restrict(weights, graph.vertices[:root] + graph.vertices[root + 1 :])
-    prob = steps * exp_meeting_mass_greens(nonroot, [graph.vertices[u] for u in joined])
-    if abs(prob.imag) > 1e-12:
-        raise NumericalFailure("tree probability came out non-real")
-    return float(prob.real)
+        sampler = WilsonSampler(graph, root)
+    except Disconnected:
+        raise InvalidGraph("edge set is not a spanning tree of the graph") from None
+    return sampler.probability(tree)
 
 
 class WilsonSampler:
@@ -264,6 +225,8 @@ class WilsonSampler:
 
     The connectivity and root checks, the neighbor lists and the degrees
     are computed once here, so ``sample`` and ``batch`` do only the walks.
+    ``probability`` builds the walk's weights off the root on its first
+    call and keeps them, so every tree it replays peels the one inverse.
     Vertices are attached in index order; each runs a simple random walk
     until it hits the grown tree, and the erased walk becomes its branch.
     A cap of 10^8 total steps per tree is a backstop against runaway walks;
@@ -302,8 +265,62 @@ class WilsonSampler:
             raise InvalidGraph(f"root {root} out of range")
         self.n = graph.n
         self.root = root
+        self._graph = graph
         self._adj = graph.neighbors()
         self._degrees = [len(a) for a in self._adj]
+        self._walk: tuple[WeightMatrix, WeightMatrix] | None = None
+
+    def probability(self, tree: Iterable[tuple[int, int]]) -> float:
+        """Probability that Wilson's algorithm returns this tree, from the
+        walk formula.
+
+        Replays the algorithm deterministically: each vertex in index order
+        walks its tree path into the already-grown part.  That branch's
+        erased walk weight is its steps times the Green's diagonals of its
+        sites, each over the sites not yet in the tree: peeling those sites
+        off the inverse leaves the next branch's.  So the branches multiply
+        to Q(T), the steps along the tree toward the root, times one peel of
+        the non-root sites in the order they join the tree.  It comes out as
+        1 / (number of spanning trees) whatever the tree: the sampler is
+        uniform.
+        """
+        graph, root = self._graph, self.root
+        try:
+            edge_set = {(min(i, j), max(i, j)) for i, j in tree}
+            vertices = all(_is_vertex(v, graph.n) for e in edge_set for v in e)
+        except (TypeError, ValueError):  # an edge that is not a pair of numbers
+            edge_set, vertices = set(), False
+        spans = vertices and edge_set <= set(graph.edges) and _spans(graph.n, sorted(edge_set))
+        if len(edge_set) != graph.n - 1 or not spans:
+            raise InvalidGraph("edge set is not a spanning tree of the graph")
+        if graph.n == 1:
+            return 1.0  # no branch: the empty product
+        # toward[u]: u's neighbor on its tree path to the root, which enters the grown part
+        toward = {root: root}
+        queue = [root]
+        for u in queue:
+            for w in self._adj[u]:
+                if w not in toward and (min(u, w), max(u, w)) in edge_set:
+                    toward[w] = u
+                    queue.append(w)
+
+        # the tree's edges oriented toward the root, in the order their sites join it
+        joined: dict[int, int] = {}
+        for u in range(graph.n):
+            while u != root and u not in joined:  # u's branch, up into the grown part
+                joined[u] = toward[u]
+                u = toward[u]
+
+        if self._walk is None:
+            weights = srw_weights(graph)
+            nonroot = restrict(weights, graph.vertices[:root] + graph.vertices[root + 1 :])
+            self._walk = weights, nonroot
+        weights, nonroot = self._walk
+        steps = np.prod([weights.entries[u, w] for u, w in joined.items()])
+        prob = steps * exp_meeting_mass_greens(nonroot, [graph.vertices[u] for u in joined])
+        if abs(prob.imag) > 1e-12:
+            raise NumericalFailure("tree probability came out non-real")
+        return float(prob.real)
 
     def sample(self, rng: np.random.Generator) -> Tree:
         adj, degrees, random = self._adj, self._degrees, rng.random

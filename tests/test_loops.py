@@ -328,6 +328,29 @@ def _prefix_walk_inputs(draw):
     return q, max_len, factor
 
 
+@st.composite
+def _structured_inputs(draw):
+    """Complex weights on 1-6 sites of one of three shapes, and a complex
+    factor per site: non-normal (an upper triangle that outweighs the
+    diagonal, with a weak lower part), reducible (block upper triangular,
+    60% of the entries kept) or periodic (a directed cycle through every
+    site, so loops have lengths that are multiples of n)."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    kind = draw(st.sampled_from(["nonnormal", "reducible", "periodic"]))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    values = rng.uniform(-1.0, 1.0, (n, n)) + 1j * rng.uniform(-1.0, 1.0, (n, n))
+    if kind == "nonnormal":
+        diagonal = 0.3 * np.diag(values.diagonal())
+        values = np.triu(values, k=1) + diagonal + 0.05 * np.tril(values, k=-1)
+    elif kind == "reducible":
+        values[n // 2 :, : n // 2] = 0.0
+        values[rng.uniform(size=(n, n)) < 0.4] = 0.0
+    else:
+        values = np.roll(np.diag(values.diagonal()), 1, axis=1)
+    factor = rng.uniform(-1.5, 1.5, n) + 1j * rng.uniform(-1.5, 1.5, n)
+    return mx.WeightMatrix.from_entries([f"s{i}" for i in range(n)], values), factor
+
+
 class TestLoopPrefixSums:
     @staticmethod
     def _assert_matches_reference(q, max_len, factor):
@@ -366,16 +389,42 @@ class TestLoopPrefixSums:
     def test_per_length_sums_match_loop_blocks(self, inputs):
         self._assert_matches_reference(*inputs)
 
-    def test_budget_refused_before_any_work(self):
+    def test_sixty_steps_sum_in_small_memory(self):
+        # 3^60 rooted loops of length 60, far past the walk's budget: the
+        # sweep keeps a few sites per visit count, and enumerates none
         q = mx.WeightMatrix.from_entries(("a", "b", "c"), np.full((3, 3), 0.1))
         tracemalloc.start()
         try:
-            with pytest.raises(TooLarge):
-                lp.loop_prefix_sums(q, 60, np.ones(3), reverse=True)
+            sums = lp.loop_prefix_sums(q, 60, np.ones(3), reverse=True)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        want = np.arange(1, 61) * lp.loop_mass_per_length(q, 60)
+        np.testing.assert_allclose(sums[0], want, rtol=1e-12, atol=0)
         assert peak < 64 * 1024
+
+    @given(_structured_inputs(), st.integers(min_value=1, max_value=30))
+    @settings(max_examples=60, deadline=None)
+    def test_long_sums_match_traces(self, inputs, max_len):
+        # row 1 at length n is tr((Q diag(factor))^n); the loops walked
+        # backwards are the forward loops of Q kept where Q^T is supported
+        q, factor = inputs
+        got = lp.loop_prefix_sums(q, max_len, factor, reverse=True)
+
+        def traces(m):
+            power, out = np.eye(q.n), []
+            for _ in range(max_len):
+                power = power @ m
+                out.append(np.trace(power))
+            return np.array(out)
+
+        want = traces(q.entries * factor)
+        scale = traces(np.abs(q.entries) * np.abs(factor)).real
+        assert np.all(np.abs(got[1] - want) <= 1e-12 * scale)
+        kept = mx.WeightMatrix(q.space, np.where(q.support().T, q.entries, 0.0))
+        both = lp.loop_prefix_sums(kept, max_len, factor)
+        assert np.all(np.abs(got[2:] - both) <= 1e-12 * scale)
+        np.testing.assert_allclose(got[:2], lp.loop_prefix_sums(q, max_len, factor), rtol=1e-14)
 
     @_LARGE_SUPPORTS
     def test_counts_and_memory_on_large_supports(self, support, per_length, peak_mb):
@@ -410,15 +459,15 @@ def _walked_prefix_sums(q, max_len, factor):
 
 
 class TestLastTwoSteps:
-    """loop_prefix_sums adds the longest loops from the paths two steps
-    short of them, against the walk that yields every level."""
+    """loop_prefix_sums, up to its longest loops, against the closing paths
+    of the walk that yields every level."""
 
     @pytest.mark.parametrize("max_len", [1, 2, 3, 6])
     @pytest.mark.parametrize(
         "entries",
         [
-            # self-loops at sites 0 and 2 and two cycles through site 0: the
-            # last free site may be the root itself
+            # self-loops at sites 0 and 2 and two cycles through site 0: a
+            # loop may return to its root on its last step
             [[0.2, 0.3, 0.3], [0.3, 0.0, 0.0], [0.3, 0.0, 0.1]],
             # a directed 3-cycle: loops of length 3 and 6 only
             [[0, 0.4, 0], [0, 0, 0.4], [0.4, 0, 0]],
@@ -434,25 +483,13 @@ class TestLastTwoSteps:
         q = mx.WeightMatrix.from_entries([f"s{i}" for i in range(len(entries))], entries)
         factor = np.linspace(0.5, 1.5, q.n) * np.exp(0.3j * np.arange(q.n))
         want, scale = _walked_prefix_sums(q, max_len, factor)
-        full = {
-            depth
-            for _, depth, _, _ in lp.prefix_walk(
-                q.support(), max_len, lambda root: (), lambda *args: ()
-            )
-        }
-        depths = []
-        walk = lp.prefix_walk
 
-        def recorded(*args, **kwargs):
-            for chunk in walk(*args, **kwargs):
-                depths.append(chunk[1])
-                yield chunk
+        def refused(*args, **kwargs):
+            raise AssertionError("loop_prefix_sums walked the loops")
 
-        monkeypatch.setattr(lp, "prefix_walk", recorded)
+        monkeypatch.setattr(lp, "prefix_walk", refused)
         got = lp.loop_prefix_sums(q, max_len, factor, reverse=True)
         assert np.all(np.abs(got - want) <= 1e-12 * scale)
-        # the same walk, cut before its deepest level once there are two
-        assert set(depths) == {d for d in full if d <= max(max_len - 2, 0)}
 
 
 def _restricted(q, sites):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from loopsoup import checks
 from loopsoup import matrices as mx
 from loopsoup import spanning as sp
 from loopsoup.errors import Disconnected, InvalidGraph, NumericalFailure, TooLarge
@@ -235,6 +236,37 @@ class TestTreeProbability:
         p = sp.spanning_tree_probability(graph(complete_graph(4)), [(0, 1), (1, 2), (2, 3)], 0)
         assert calls == {"spectral_radius_abs": 1, "_lu_factor": 1}
         assert p == pytest.approx(1 / 16, rel=1e-12)
+        # verify's tree checks replay all 19 trees of K3 and K4 on one
+        # sampler per graph: one gate and one factor each, and five factors
+        # for tree_count_det's cofactors
+        calls.update(spectral_radius_abs=0, _lu_factor=0)
+        reports = list(checks._spanning_tree_checks(checks.RunConfig()))
+        assert [r.outcome for r in reports] == ["pass", "pass"]
+        assert calls == {"spectral_radius_abs": 2, "_lu_factor": 7}
+
+    def test_sampler_replays_every_tree_from_one_inverse(self, monkeypatch):
+        g = graph(complete_graph(4))
+        sampler = sp.WilsonSampler(g, root=2)
+        factored = []
+        factor = mx._lu_factor
+        monkeypatch.setattr(mx, "_lu_factor", lambda arr: factored.append(arr) or factor(arr))
+        # drawing trees builds no matrix; the first replay builds the one
+        sampler.sample(substream(7010))
+        sampler.batch(substream(7011), 5)
+        assert factored == []
+        trees = sp.enumerate_spanning_trees(g)
+        probs = [sampler.probability(t) for t in trees]
+        assert len(factored) == 1
+        assert probs == [sp.spanning_tree_probability(g, t, root=2) for t in trees]
+        np.testing.assert_allclose(probs, 1 / 16, rtol=1e-12)
+
+    def test_disconnected_graph_has_no_tree_to_replay(self):
+        # the wrapper refuses the tree, as before the sampler held the replay
+        g = graph({"vertices": ["a", "b", "c", "d"], "edges": [[0, 1], [2, 3]]})
+        with pytest.raises(InvalidGraph, match="not a spanning tree of the graph"):
+            sp.spanning_tree_probability(g, [(0, 1), (2, 3), (1, 2)])
+        with pytest.raises(Disconnected):
+            sp.WilsonSampler(g)
 
 
 class TestWilson:
